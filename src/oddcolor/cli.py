@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit
 codes: 0 success, 1 negative verification or infeasible, 2 usage error,
-3 internal invariant failure (the tool rejected its own output).
+3 internal failure (an engine invariant broke or the tool rejected its
+own output).
 
     oddcolor gen --name cycle --n 5 --out c5.graph.json
     oddcolor gen --name random_one_plane --n 30 --p-cross 0.5 --seed 7 --out r.empl.json
@@ -26,12 +27,12 @@ from collections import Counter
 from . import io as formats
 from .coloring import Coloring, is_odd_coloring
 from .embedding import OnePlaneGraph, underlying_graph, validate
-from .exact import INCONCLUSIVE, SearchConfig, chi_o, exists_odd_k_coloring
+from .exact import INCONCLUSIVE, SearchConfig, chi_o, min_odd_coloring
 from .generators import GENERATORS, gen, random_one_plane
 from .graphs import Graph, degeneracy_order
 from .minor_closed import odd_color_minor_closed
 from .discharging import discharge
-from .reduction import Thresholds, odd_color_1planar
+from .reduction import EngineInvariantError, NoConfigFoundError, Thresholds, odd_color_1planar
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -138,14 +139,11 @@ def _color_minor_closed(args, thing) -> tuple[Coloring, Graph, dict]:
 
 def _color_exact(args, thing) -> tuple[Coloring, Graph, dict]:
     g = _as_graph(thing)
-    cfg = SearchConfig(node_limit=args.node_limit, jobs=args.jobs)
-    best = chi_o(g, cfg)
-    if best is INCONCLUSIVE:
+    witness = min_odd_coloring(g, SearchConfig(node_limit=args.node_limit))
+    if witness is INCONCLUSIVE:
         _say("exact search inconclusive (node limit)")
         raise SystemExit(EXIT_NEGATIVE)
-    witness = exists_odd_k_coloring(g, best, cfg) if g.n else Coloring(1, {})
-    assert isinstance(witness, Coloring)
-    return witness, g, {"chi_o": best}
+    return witness, g, {"chi_o": witness.k if g.n else 0}
 
 
 def cmd_color(args) -> int:
@@ -190,8 +188,7 @@ def cmd_verify(args) -> int:
 
 def cmd_chi(args) -> int:
     g = _as_graph(formats.load_any(args.input))
-    cfg = SearchConfig(max_k=args.max_k, node_limit=args.node_limit, jobs=args.jobs)
-    got = chi_o(g, cfg)
+    got = chi_o(g, SearchConfig(max_k=args.max_k, node_limit=args.node_limit))
     if got is INCONCLUSIVE:
         _emit({"chi_o": None, "inconclusive": True})
         _say("inconclusive (node limit or max-k reached)")
@@ -266,9 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--engine", required=True, choices=("reduction", "minor-closed", "exact"))
     c.add_argument("--k", type=int, default=23, help="palette for the reduction engine")
     c.add_argument("--d", type=int, default=2, help="degeneracy for minor-closed")
-    c.add_argument("--max-k", type=int, dest="max_k")
     c.add_argument("--node-limit", type=int, dest="node_limit")
-    c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--out")
     c.add_argument("--trace-out", dest="trace_out")
     c.add_argument("input")
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("input")
     x.add_argument("--max-k", type=int, dest="max_k")
     x.add_argument("--node-limit", type=int, dest="node_limit")
-    x.add_argument("--jobs", type=int, default=1)
     x.set_defaults(fn=cmd_chi)
 
     d = sub.add_parser("discharge", help="run the charging rules and audit")
@@ -316,6 +310,13 @@ def main(argv: list[str] | None = None) -> int:
     except (formats.ParseError, FileNotFoundError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
+    except (EngineInvariantError, NoConfigFoundError) as exc:
+        payload = {"error": type(exc).__name__, "detail": str(exc)}
+        if isinstance(exc, NoConfigFoundError):
+            payload["audit"] = json.loads(exc.report.to_json())
+        _emit(payload)
+        _say(f"internal error: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,9 +33,6 @@ class Coloring:
             if not 1 <= c <= k:
                 raise ValueError(f"color {c} at vertex {v} outside 1..{k}")
 
-    def color_of(self, v: int) -> int | None:
-        return self.assign.get(v)
-
     def __contains__(self, v: int) -> bool:
         return v in self.assign
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .embedding import Face, OnePlaneGraph, underlying_graph
 
+# The paper's thresholds; reduction.Thresholds takes its defaults from here.
 BIG_DEGREE = 12
 PALETTE = 23
 

@@ -211,9 +211,6 @@ class OnePlaneGraph:
             out.append(Face(tuple(cyc)))
         return sorted(out, key=lambda f: f.fid)
 
-    def face_vertices(self, f: Face) -> list[int]:
-        return [self.origin(d) for d in f.darts]
-
     def faces_at(self, v: int) -> list[Face]:
         """Faces incident to v, one per corner, in rotation order."""
         by_dart = {}
@@ -296,51 +293,41 @@ def validate(emb: OnePlaneGraph) -> list[Violation]:
     return out
 
 
-def _smooth(emb: OnePlaneGraph) -> dict[int, set[int]]:
-    """Adjacency of the underlying simple graph; raises InvalidEmbeddingError
-    (with a witness in args[1]) if smoothing is not simple."""
+def _smooth(emb: OnePlaneGraph) -> tuple[dict[int, set[int]], dict]:
+    """Adjacency of the underlying simple graph, and the map of g_edges;
+    raises InvalidEmbeddingError (with a witness in args[1]) if smoothing is
+    not simple."""
     adj: dict[int, set[int]] = {v: set() for v in emb.real_vertices()}
-    seen_edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int, what) -> None:
-        if a == b:
-            raise InvalidEmbeddingError("smoothed loop", (a, what))
-        e = (min(a, b), max(a, b))
-        if e in seen_edges:
-            raise InvalidEmbeddingError("parallel original edge", e)
-        seen_edges.add(e)
-        adj[a].add(b)
-        adj[b].add(a)
-
-    for u, v in emb.segments():
-        if not emb.is_virtual(u) and not emb.is_virtual(v):
-            add(u, v, None)
+    ends = [(u, v, None) for u, v in emb.segments() if u in adj and v in adj]
     for w in emb.virtual_vertices():
         if emb.degree(w) != 4:
             continue  # reported separately by validate()
         for a, b in emb.crossing_edges(w):
-            if emb.is_virtual(a) or emb.is_virtual(b):
-                continue  # virtual-virtual segment, reported separately
-            add(a, b, w)
-    return adj
+            if a in adj and b in adj:  # else virtual-virtual, reported separately
+                ends.append((a, b, w))
+    crossing: dict[tuple[int, int], int | None] = {}
+    for a, b, w in ends:
+        if a == b:
+            raise InvalidEmbeddingError("smoothed loop", (a, w))
+        e = (a, b) if a < b else (b, a)
+        if e in crossing:
+            raise InvalidEmbeddingError("parallel original edge", e)
+        crossing[e] = w
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj, crossing
 
 
 def underlying_graph(emb: OnePlaneGraph) -> Graph:
     """Recover the abstract graph: smooth every virtual vertex into its two
     crossing original edges."""
-    return Graph({v: frozenset(ns) for v, ns in _smooth(emb).items()})
+    adj, _ = _smooth(emb)
+    return Graph({v: frozenset(ns) for v, ns in adj.items()})
 
 
 def g_edges(emb: OnePlaneGraph) -> dict[tuple[int, int], int | None]:
     """Original edges -> the virtual vertex crossing them (None if uncrossed)."""
-    out: dict[tuple[int, int], int | None] = {}
-    for u, v in emb.segments():
-        if not emb.is_virtual(u) and not emb.is_virtual(v):
-            out[(min(u, v), max(u, v))] = None
-    for w in emb.virtual_vertices():
-        for e in emb.crossing_edges(w):
-            out[e] = w
-    return out
+    return _smooth(emb)[1]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ or INCONCLUSIVE when the node limit was hit before the search finished.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 from .coloring import Coloring, OddTracker, is_odd_coloring
@@ -49,7 +48,6 @@ class SearchConfig:
     vertex_order: tuple[int, ...] | None = None  # None = automatic
     forward_check: bool = True
     symmetry_breaking: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         if self.max_k is not None and self.max_k < 1:
@@ -76,11 +74,7 @@ def auto_order(g: Graph) -> list[int]:
 
 
 def _search(
-    g: Graph,
-    k: int,
-    order: list[int],
-    cfg: SearchConfig,
-    root_colors: list[int] | None = None,
+    g: Graph, k: int, order: list[int], cfg: SearchConfig
 ) -> Coloring | None | Inconclusive:
     n = len(order)
     tracker = OddTracker(g, k)
@@ -113,10 +107,7 @@ def _search(
                 return c
             return None
         v = order[i]
-        colors = allowed(v, max_used)
-        if i == 0 and root_colors is not None:
-            colors = [c for c in colors if c in root_colors]
-        for color in colors:
+        for color in allowed(v, max_used):
             nodes += 1
             if limit is not None and nodes > limit:
                 hit_limit = True
@@ -138,14 +129,6 @@ def _search(
     return INCONCLUSIVE if hit_limit else None
 
 
-def _root_worker(args) -> tuple[str, dict[int, int] | None]:
-    g, k, order, cfg, color = args
-    got = _search(g, k, order, cfg, root_colors=[color])
-    if isinstance(got, Coloring):
-        return "witness", got.assign
-    return ("inconclusive", None) if got is INCONCLUSIVE else ("none", None)
-
-
 def exists_odd_k_coloring(
     g: Graph, k: int, cfg: SearchConfig = SearchConfig()
 ) -> Coloring | None | Inconclusive:
@@ -158,42 +141,37 @@ def exists_odd_k_coloring(
     order = list(cfg.vertex_order) if cfg.vertex_order else auto_order(g)
     if sorted(order) != g.vertices():
         raise ValueError("vertex_order must enumerate all vertices")
-    if cfg.jobs <= 1:
-        return _search(g, k, order, cfg)
+    return _search(g, k, order, cfg)
 
-    # Root color branches are independent; the reported witness is the one
-    # with the smallest root color, so results do not depend on scheduling.
-    roots = list(range(1, (min(k, 1) if cfg.symmetry_breaking else k) + 1))
-    tasks = [(g, k, order, cfg, c) for c in roots]
-    results: list[tuple[str, dict[int, int] | None]] = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        results = list(pool.map(_root_worker, tasks))
-    for tag, assign in results:
-        if tag == "witness":
-            return Coloring(k, assign)
-    if any(tag == "inconclusive" for tag, _ in results):
+
+def min_odd_coloring(
+    g: Graph, cfg: SearchConfig = SearchConfig()
+) -> Coloring | Inconclusive:
+    """An odd coloring with the fewest colors, by ascending complete searches.
+
+    Its palette size is the odd chromatic number, which never exceeds |G|
+    (coloring every vertex with its own color is odd); the empty graph gets
+    the empty coloring with palette 1.  Returns INCONCLUSIVE if a level hits
+    the node limit, or if max_k was reached without a witness.
+    """
+    if g.n == 0:
+        return Coloring(1, {})
+    top = min(cfg.max_k, g.n) if cfg.max_k is not None else g.n
+    for k in range(1, top + 1):
+        got = exists_odd_k_coloring(g, k, cfg)
+        if got is not None:
+            return got
+    if top < g.n:
         return INCONCLUSIVE
-    return None
+    raise AssertionError("no odd coloring found at k = |G|")  # unreachable
 
 
 def chi_o(
     g: Graph, cfg: SearchConfig = SearchConfig()
 ) -> int | Inconclusive:
-    """The odd chromatic number by ascending complete searches.
-
-    Never exceeds |G| (coloring every vertex with its own color is odd).
-    Returns INCONCLUSIVE if a level hits the node limit, or if max_k was
-    reached without a witness.
-    """
+    """The odd chromatic number: the palette size of min_odd_coloring, or 0
+    for the empty graph.  INCONCLUSIVE under the same conditions."""
     if g.n == 0:
         return 0
-    top = min(cfg.max_k, g.n) if cfg.max_k is not None else g.n
-    for k in range(1, top + 1):
-        got = exists_odd_k_coloring(g, k, cfg)
-        if isinstance(got, Coloring):
-            return k
-        if got is INCONCLUSIVE:
-            return INCONCLUSIVE
-    if top < g.n:
-        return INCONCLUSIVE
-    raise AssertionError("no odd coloring found at k = |G|")  # unreachable
+    got = min_odd_coloring(g, cfg)
+    return got if got is INCONCLUSIVE else got.k

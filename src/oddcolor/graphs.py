@@ -166,10 +166,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
     """Repeatedly delete a minimum-degree vertex (lowest id on ties).
 

@@ -52,7 +52,7 @@ from .embedding import (
     underlying_graph,
     validate,
 )
-from .graphs import Graph, bridges
+from .graphs import Graph, bridges, connected_components
 
 log = logging.getLogger("oddcolor.reduction")
 
@@ -77,9 +77,9 @@ class EngineInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    K: int = 23  # palette size
-    BIG: int = 12  # big-vertex degree threshold
-    ODD_MAX: int = 11  # largest reducible odd degree
+    K: int = discharging.PALETTE  # palette size
+    BIG: int = discharging.BIG_DEGREE  # big-vertex degree threshold
+    ODD_MAX: int = discharging.BIG_DEGREE - 1  # largest reducible odd degree
 
     def __post_init__(self):
         if self.K < 2 * self.ODD_MAX + 1:
@@ -222,13 +222,14 @@ def _find_six_four(emb: OnePlaneGraph) -> SixFourSwap | None:
 def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> ReducibleConfig:
     """First configuration under the fixed priority.
 
-    The underlying graph must be connected (split components first).  A
-    valid connected 1-plane embedding always yields one; exhausting the
+    The planarization must be connected (split components first); its
+    underlying graph need not be, since edges of two components may cross.
+    A valid connected 1-plane embedding always yields one; exhausting the
     priority list raises NoConfigFoundError with the discharging audit.
     """
     g = underlying_graph(emb)
     if g.n and len(emb.components()) != 1:
-        raise ValueError("underlying graph must be connected")
+        raise ValueError("planarization must be connected")
 
     br = bridges(g)
     if br:
@@ -601,10 +602,14 @@ def _reduce_bridge(
     x, y = cfg.x, cfg.y
     emb2 = delete_g_edge(emb, x, y)
     parts = split_components(emb2)
-    if len(parts) != 2:
-        raise EngineInvariantError(f"deleting bridge ({x}, {y}) left {len(parts)} parts")
     part_x = next(p for p in parts if x in p.vertices())
     part_y = next(p for p in parts if y in p.vertices())
+    if part_x is part_y or len(parts) > 2:
+        # edges of the two sides cross, or a third component crossed xy:
+        # the planarization does not split the way the underlying graph does
+        side_x = next(c for c in connected_components(g.delete_edge(x, y)) if x in c)
+        part_x = delete_real_vertices(emb2, set(g.vertices()).difference(side_x))
+        part_y = delete_real_vertices(emb2, side_x)
     trace.record(
         "Bridge", (x, y), before, [_metrics(part_x), _metrics(part_y)]
     )

@@ -4,11 +4,15 @@ import json
 
 import pytest
 
+from oddcolor import cli, exact
 from oddcolor.cli import main
 from oddcolor.coloring import Coloring
+from oddcolor.discharging import discharge
+from oddcolor.exact import chi_o, exists_odd_k_coloring
 from oddcolor.generators import cycle_embedding, random_one_plane
 from oddcolor.graphs import cycle
-from oddcolor.io import save_coloring, save_embedding, save_graph
+from oddcolor.io import load_embedding, save_coloring, save_embedding, save_graph
+from oddcolor.reduction import EngineInvariantError, NoConfigFoundError
 
 
 @pytest.fixture
@@ -59,6 +63,38 @@ class TestColorVerify:
         code, payload, err = run(capsys, "color", "--engine", "exact", str(p))
         assert code == 0
         assert payload["chi_o"] == 5 and payload["valid"]
+
+    def test_exact_is_one_ascending_search(self, c4_file, capsys, monkeypatch):
+        g = cycle(4)
+        best = chi_o(g)
+        # the coloring the former second search at level chi_o returned
+        witness = exists_odd_k_coloring(g, best)
+        levels = []
+        search = exact.exists_odd_k_coloring
+
+        def counted(g, k, cfg=exact.SearchConfig()):
+            levels.append(k)
+            return search(g, k, cfg)
+
+        monkeypatch.setattr(exact, "exists_odd_k_coloring", counted)
+        code, payload, _ = run(capsys, "color", "--engine", "exact", c4_file)
+        assert code == 0 and levels == list(range(1, best + 1))
+        assert payload["chi_o"] == payload["k"] == best
+        assert payload["colors"] == {str(v): c for v, c in sorted(witness.assign.items())}
+
+    @pytest.mark.parametrize("error", [EngineInvariantError, NoConfigFoundError])
+    def test_internal_failure_exits_3(self, emb_file, capsys, monkeypatch, error):
+        _, _, report = discharge(load_embedding(emb_file))
+        exc = error(report) if error is NoConfigFoundError else error("broken step")
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "odd_color_1planar", fail)
+        code, payload, _ = run(capsys, "color", "--engine", "reduction", emb_file)
+        assert code == 3 and payload["error"] == error.__name__
+        if error is NoConfigFoundError:
+            assert payload["audit"] == json.loads(report.to_json())
 
     def test_reduction_requires_embedding(self, c4_file, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -122,11 +158,15 @@ class TestOtherCommands:
         code, payload, _ = run(capsys, "chi", str(p), "--node-limit", "2")
         assert code == 1 and payload["inconclusive"]
 
-    def test_chi_with_jobs(self, tmp_path, capsys):
-        p = tmp_path / "c6.graph.json"
-        save_graph(cycle(6), p)
-        code, payload, _ = run(capsys, "chi", str(p), "--jobs", "2")
-        assert code == 0 and payload["chi_o"] == 3
+    @pytest.mark.parametrize("argv", [
+        ("chi", "--jobs", "2"),
+        ("color", "--engine", "exact", "--jobs", "2"),
+        ("color", "--engine", "exact", "--max-k", "3"),
+    ])
+    def test_removed_options_are_usage_errors(self, c4_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, c4_file])
+        assert exc.value.code == 2
 
     def test_validate(self, emb_file, capsys):
         code, payload, _ = run(capsys, "validate", emb_file)

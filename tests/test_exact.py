@@ -148,12 +148,6 @@ class TestConfig:
         assert originals == [0, 1, 2, 3]
         assert set(order[:5]) >= {0, 1}
 
-    def test_parallel_jobs_matches_sequential(self):
-        g = cycle(6)
-        seq = chi_o(g)
-        par = chi_o(g, SearchConfig(jobs=2, symmetry_breaking=False))
-        assert seq == par == 3
-
 
 class TestK7StarShape:
     def test_subdivision_forces_distinct_branch_colors(self):

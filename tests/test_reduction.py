@@ -243,6 +243,32 @@ class TestEngine:
         assert is_odd_coloring(g, c)
         assert len(c.colors_used()) <= 23
 
+    @pytest.mark.parametrize("seed", [1717400629, 314395342])
+    def test_bridge_whose_sides_cross(self, seed):
+        # deleting the bridge leaves the planarization in one piece, because
+        # an edge on one side crosses an edge on the other
+        emb = random_one_plane(100, 0.5, seed=seed)
+        c, trace = odd_color_1planar(emb)
+        assert is_odd_coloring(underlying_graph(emb), c)
+        assert len(c.colors_used()) <= 23
+
+    def test_bridge_crossed_by_another_component(self):
+        # a path whose edge (2, 3) is crossed at w by the edge a-b of a second
+        # component: deleting that bridge leaves three planarization parts
+        from oddcolor.embedding import OnePlaneGraph, REAL, VIRTUAL
+
+        n = 60
+        a, b, w = n, n + 1, n + 2
+        kinds = {v: REAL for v in range(n + 2)}
+        kinds[w] = VIRTUAL
+        edges = [(i, i + 1) for i in range(n - 1) if i != 2]
+        edges += [(2, w), (w, 3), (a, w), (w, b)]
+        rot = {v: [i for i, e in enumerate(edges) if v in e] for v in kinds}
+        rot[w] = [edges.index(e) for e in ((2, w), (a, w), (w, 3), (w, b))]
+        emb = OnePlaneGraph(kinds, edges, rot)
+        c, _ = odd_color_1planar(emb)
+        assert is_odd_coloring(underlying_graph(emb), c)
+
     def test_engine_no_better_than_exact(self):
         # sanity only: the engine never beats the true odd chromatic number
         for seed in range(6):
