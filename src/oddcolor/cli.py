@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except (formats.ParseError, FileNotFoundError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
-    except (EngineInvariantError, NoConfigFoundError) as exc:
+    except (EngineInvariantError, NoConfigFoundError, RecursionError) as exc:
         payload = {"error": type(exc).__name__, "detail": str(exc)}
         if isinstance(exc, NoConfigFoundError):
             payload["audit"] = json.loads(exc.report.to_json())

@@ -15,6 +15,12 @@ from typing import Iterable, Mapping
 from .graphs import Graph
 
 
+class EngineInvariantError(RuntimeError):
+    """A step that a proof guarantees failed, such as a greedy extension
+    or the final verification.  Raised explicitly, never by ``assert``, so
+    that ``python -O`` keeps the check."""
+
+
 class PartialColoringError(ValueError):
     """A total coloring was required but some vertex is uncolored."""
 

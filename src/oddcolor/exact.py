@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, OddTracker, is_odd_coloring
+from .coloring import Coloring, EngineInvariantError, OddTracker, is_odd_coloring
 from .graphs import Graph
 
 
@@ -124,7 +124,8 @@ def _search(
 
     witness = rec(0, 0)
     if witness is not None:
-        assert is_odd_coloring(g, witness)
+        if not is_odd_coloring(g, witness):
+            raise EngineInvariantError("search returned a non-odd witness")
         return witness
     return INCONCLUSIVE if hit_limit else None
 

@@ -207,7 +207,7 @@ def k7_star_embedding() -> OnePlaneGraph:
 # edges cross each other.  The planarization has a 6-face through all
 # three 2-vertices and a 4-face at vertex 0, which is exactly the swap
 # pattern; everything else is built so no higher-priority configuration
-# exists at thresholds (K=7, BIG=4, ODD_MAX=3).
+# exists at thresholds (K=7, BIG=4).
 _FIG4_POINTS: dict[int, Pt] = {
     0: pt(0, 10),   # v
     1: pt(-4, 10),  # u

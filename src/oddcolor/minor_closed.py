@@ -5,7 +5,7 @@ then unwinds: the merged vertex's color transfers to the kept endpoint and
 the removed endpoint is colored greedily, avoiding the colors and protected
 odd colors of its neighbors.  At most 2d colors are ever forbidden, and the
 kept endpoint's color appears exactly once on the new vertex's neighborhood,
-which is what makes the extension odd; that fact is asserted after every
+which is what makes the extension odd; that fact is checked after every
 extension step.
 
 Family membership is not verified structurally.  What the procedure
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, greedy_extend, is_odd_coloring, union
+from .coloring import Coloring, EngineInvariantError, greedy_extend, is_odd_coloring, union
 from .graphs import Graph, connected_components
 
 
@@ -62,7 +62,8 @@ def odd_color_minor_closed(
     if not colorings:
         return Coloring(k, {}), []
     merged = union(*colorings)
-    assert g.n == 0 or is_odd_coloring(g, merged)
+    if not is_odd_coloring(g, merged):
+        raise EngineInvariantError("engine emitted a non-odd coloring")
     return merged, traces
 
 
@@ -77,7 +78,7 @@ def _color_component(g: Graph, d: int, k: int) -> tuple[Coloring, ContractionTra
             raise NotDegenerateError(cur, d)
         if cur.degree(x) == 0:
             # disconnected inputs are split by the caller; unreachable here
-            raise AssertionError("isolated vertex in connected component")
+            raise EngineInvariantError("isolated vertex in connected component")
         y = min(cur.neighbors(x))
         levels.append((cur, x, y))
         trace.steps.append((x, y))
@@ -89,7 +90,7 @@ def _color_component(g: Graph, d: int, k: int) -> tuple[Coloring, ContractionTra
     for before, x, y in reversed(levels):
         color = greedy_extend(before, c, x)
         if color is None:
-            raise AssertionError(
+            raise EngineInvariantError(
                 f"no color free for vertex {x}: degeneracy bound violated"
             )
         c = c.set(x, color)
@@ -97,9 +98,10 @@ def _color_component(g: Graph, d: int, k: int) -> tuple[Coloring, ContractionTra
         occurrences = sum(
             1 for u in before.neighbors(x) if c.assign.get(u) == c.assign[y]
         )
-        assert occurrences == 1, (
-            f"color of {y} appears {occurrences} times on N({x})"
-        )
+        if occurrences != 1:
+            raise EngineInvariantError(
+                f"color of {y} appears {occurrences} times on N({x})"
+            )
     return c, trace
 
 

@@ -1,12 +1,15 @@
 """Constructive odd coloring of 1-plane graphs by reducible configurations.
 
-The engine repeatedly finds one of seven local configurations in a valid
-connected 1-plane embedding, shrinks the instance (or improves the drawing),
-solves the smaller instance, and extends the coloring back.  The fixed
-priority matters: later configurations are only correct once the earlier
-ones are absent (for example, handling a vertex with 2-valent neighbors
-assumes no two small vertices are adjacent, so each 2-valent neighbor's
-other endpoint is big and survives the deletion).
+The engine works in two passes.  It first reduces: it repeatedly finds one
+of seven local configurations in a valid connected 1-plane embedding and
+shrinks the instance (or improves the drawing), logging each shrinking step,
+until every remaining instance is small enough to color with distinct
+colors.  It then replays the log last-in-first-out, extending one coloring
+back over each step.  The fixed priority matters: later configurations are
+only correct once the earlier ones are absent (for example, handling a
+vertex with 2-valent neighbors assumes no two small vertices are adjacent,
+so each 2-valent neighbor's other endpoint is big and survives the
+deletion).
 
   1. Bridge            split at a cut edge, color the sides, align anchors
   2. OddLowVertex      odd degree <= 11: delete, extend greedily
@@ -27,18 +30,17 @@ raises, attaching the discharging audit as the bug report.
 from __future__ import annotations
 
 import logging
-import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Union
 
 from . import discharging
 from .coloring import (
     Coloring,
+    EngineInvariantError,
     greedy_extend,
     is_odd_coloring,
     odd_colors,
     tau_o,
-    union,
 )
 from .embedding import (
     EmbeddingBuilder,
@@ -71,21 +73,19 @@ class NoConfigFoundError(RuntimeError):
         super().__init__(f"no reducible configuration; audit:\n{report}")
 
 
-class EngineInvariantError(RuntimeError):
-    """A counting argument that guarantees an extension step failed."""
-
-
 @dataclass(frozen=True)
 class Thresholds:
     K: int = discharging.PALETTE  # palette size
     BIG: int = discharging.BIG_DEGREE  # big-vertex degree threshold
-    ODD_MAX: int = discharging.BIG_DEGREE - 1  # largest reducible odd degree
+
+    @property
+    def ODD_MAX(self) -> int:
+        """Largest reducible odd degree."""
+        return self.BIG - 1
 
     def __post_init__(self):
         if self.K < 2 * self.ODD_MAX + 1:
             raise ValueError("need K >= 2*ODD_MAX + 1")
-        if self.BIG != self.ODD_MAX + 1:
-            raise ValueError("need BIG == ODD_MAX + 1")
 
 
 # -- the configuration union -------------------------------------------
@@ -430,134 +430,121 @@ def odd_color_1planar(
     bad = validate(emb)
     if bad:
         raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 12 * len(emb.real_vertices()) + 1000))
-    try:
-        trace = ReductionTrace()
-        c = _solve(emb, t, trace)
-        g = underlying_graph(emb)
-        if g.n and not is_odd_coloring(g, c):
-            raise EngineInvariantError("engine emitted a non-odd coloring")
-        return c, trace
-    finally:
-        sys.setrecursionlimit(old_limit)
+    trace = ReductionTrace()
+    c = Coloring(t.K)
+    # pending instances have disjoint vertex sets, so when a record is
+    # replayed its graph is colored everywhere except where it extends
+    for cfg, g, aux in reversed(_reduce(emb, t, trace, c)):
+        _extend(cfg, g, aux, c)
+    g = underlying_graph(emb)
+    if g.n and not is_odd_coloring(g, c):
+        raise EngineInvariantError("engine emitted a non-odd coloring")
+    return c, trace
 
 
-def _solve(emb: OnePlaneGraph, t: Thresholds, trace: ReductionTrace) -> Coloring:
-    parts = split_components(emb)
-    if len(parts) > 1:
-        return union(*(_solve_connected(p, t, trace) for p in parts))
-    return _solve_connected(emb, t, trace)
-
-
-def _rainbow(g: Graph, k: int) -> Coloring:
-    return Coloring(k, {v: i + 1 for i, v in enumerate(g.vertices())})
-
-
-def _solve_connected(
-    emb: OnePlaneGraph, t: Thresholds, trace: ReductionTrace
-) -> Coloring:
-    while True:
+def _reduce(
+    emb: OnePlaneGraph, t: Thresholds, trace: ReductionTrace, c: Coloring
+) -> list[tuple[ReducibleConfig, Graph, object]]:
+    """Reduce every instance to a base case, writing base-case colors into
+    c, and return the log of shrinking steps in the order they ran.  The
+    pending stack is last-in-first-out, so the trace is depth-first."""
+    log = []
+    pending = [emb]
+    while pending:
+        emb = pending.pop()
+        parts = split_components(emb)
+        if len(parts) > 1:
+            pending.extend(reversed(parts))
+            continue
         g = underlying_graph(emb)
         before = _metrics(emb)
         if g.n <= t.K:
             trace.record("BaseCase", (g.n,), before, [])
-            return _rainbow(g, t.K)
+            c.assign.update((v, i + 1) for i, v in enumerate(g.vertices()))
+            continue
         cfg = find_reducible(emb, t)
         if isinstance(cfg, TwoFaceUncross):
-            emb2 = uncross_two_face(emb, cfg.w)
-            trace.record("TwoFaceUncross", (cfg.w,), before, [_metrics(emb2)])
-            emb = emb2
-            continue
-        if isinstance(cfg, SixFourSwap):
-            emb2 = uncross_six_four(emb, cfg)
-            trace.record(
-                "SixFourSwap",
-                (cfg.u, cfg.w, cfg.v, cfg.z, cfg.c),
-                before,
-                [_metrics(emb2)],
-            )
-            emb = emb2
-            continue
-        return _reduce_and_extend(emb, g, t, cfg, trace, before)
+            pieces = [uncross_two_face(emb, cfg.w)]
+        elif isinstance(cfg, SixFourSwap):
+            pieces = [uncross_six_four(emb, cfg)]
+        else:
+            pieces, aux = _shrink(emb, g, cfg)
+            log.append((cfg, g, aux))
+        trace.record(
+            type(cfg).__name__, astuple(cfg), before, [_metrics(p) for p in pieces]
+        )
+        pending.extend(reversed(pieces))
+    return log
+
+
+def _shrink(
+    emb: OnePlaneGraph, g: Graph, cfg: ReducibleConfig
+) -> tuple[list[OnePlaneGraph], object]:
+    """The smaller instances a shrinking configuration leaves, and what its
+    extension needs beyond g: x's side of a bridge, or each 2-valent
+    neighbor of a D2Vertex mapped to its other end."""
+    if isinstance(cfg, Bridge):
+        side_x = next(
+            side
+            for side in connected_components(g.delete_edge(cfg.x, cfg.y))
+            if cfg.x in side
+        )
+        rest = set(g.vertices()).difference(side_x)
+        return [delete_real_vertices(emb, rest), delete_real_vertices(emb, side_x)], side_x
+    if isinstance(cfg, OddLowVertex):
+        return [delete_real_vertices(emb, [cfg.v])], None
+    if isinstance(cfg, SmallPair):
+        return [delete_real_vertices(emb, [cfg.v, cfg.w])], None
+    if isinstance(cfg, UncrossedSmallEdge):
+        x, y = cfg.x, cfg.y
+        for z in sorted(g.neighbors(x) & g.neighbors(y)):
+            emb = delete_g_edge(emb, x, z)
+        return [contract_uncrossed_edge(emb, x, y)], None
+    # D2Vertex
+    others = {}
+    for u in sorted(u for u in g.neighbors(cfg.v) if g.degree(u) == 2):
+        other = next(x for x in g.neighbors(u) if x != cfg.v)
+        if g.degree(other) == 2:
+            raise EngineInvariantError(f"2-vertex {u} lacks a surviving big neighbor")
+        others[u] = other
+    return [delete_real_vertices(emb, [cfg.v, *others])], others
 
 
 def _extend_or_die(
     g: Graph, c: Coloring, v: int, extra=(), why: str = ""
-) -> Coloring:
+) -> None:
     color = greedy_extend(g, c, v, extra)
     if color is None:
         raise EngineInvariantError(
             f"greedy extension failed at vertex {v} ({why}); "
             f"forbidden covers the whole palette of {c.k}"
         )
-    return c.set(v, color)
+    c.assign[v] = color
 
 
-def _reduce_and_extend(
-    emb: OnePlaneGraph,
-    g: Graph,
-    t: Thresholds,
-    cfg: ReducibleConfig,
-    trace: ReductionTrace,
-    before: tuple[int, int],
-) -> Coloring:
+def _extend(cfg: ReducibleConfig, g: Graph, aux, c: Coloring) -> None:
+    """Extend c, total on what cfg's reduction left of g, over all of g."""
     if isinstance(cfg, Bridge):
-        return _reduce_bridge(emb, g, t, cfg, trace, before)
-
-    if isinstance(cfg, OddLowVertex):
-        v = cfg.v
-        emb2 = delete_real_vertices(emb, [v])
-        trace.record("OddLowVertex", (v,), before, [_metrics(emb2)])
-        c = _solve(emb2, t, trace)
-        return _extend_or_die(g, c, v, why="odd low vertex")
-
-    if isinstance(cfg, SmallPair):
+        _anchor_bridge(g, c, cfg.x, cfg.y, aux)
+    elif isinstance(cfg, OddLowVertex):
+        _extend_or_die(g, c, cfg.v, why="odd low vertex")
+    elif isinstance(cfg, SmallPair):
         v, w = cfg.v, cfg.w
-        emb2 = delete_real_vertices(emb, [v, w])
-        trace.record("SmallPair", (v, w), before, [_metrics(emb2)])
-        c = _solve(emb2, t, trace)
         tw = tau_o(g, c, w)
-        c = _extend_or_die(g, c, v, {tw} if tw is not None else (), "small pair v")
+        _extend_or_die(g, c, v, {tw} if tw is not None else (), "small pair v")
         tv = tau_o(g, c, v)
-        return _extend_or_die(
-            g, c, w, {tv} if tv is not None else (), "small pair w"
-        )
-
-    if isinstance(cfg, UncrossedSmallEdge):
+        _extend_or_die(g, c, w, {tv} if tv is not None else (), "small pair w")
+    elif isinstance(cfg, UncrossedSmallEdge):
         x, y = cfg.x, cfg.y
-        emb2 = emb
-        for z in sorted(g.neighbors(x) & g.neighbors(y)):
-            emb2 = delete_g_edge(emb2, x, z)
-        emb2 = contract_uncrossed_edge(emb2, x, y)
-        trace.record("UncrossedSmallEdge", (x, y), before, [_metrics(emb2)])
-        c = _solve(emb2, t, trace)
-        c = _extend_or_die(g, c, x, why="uncrossed small edge")
+        _extend_or_die(g, c, x, why="uncrossed small edge")
         kept = sum(1 for u in g.neighbors(x) if c.assign[u] == c.assign[y])
-        assert kept == 1, f"color of {y} appears {kept} times on N({x})"
-        return c
-
-    if isinstance(cfg, D2Vertex):
-        v = cfg.v
-        twos = sorted(u for u in g.neighbors(v) if g.degree(u) == 2)
-        others = {}
-        for u in twos:
-            other = next(x for x in g.neighbors(u) if x != v)
-            if g.degree(other) == 2 or other == v:
-                raise EngineInvariantError(
-                    f"2-vertex {u} lacks a surviving big neighbor"
-                )
-            others[u] = other
-        emb2 = delete_real_vertices(emb, [v, *twos])
-        trace.record("D2Vertex", (v,), before, [_metrics(emb2)])
-        c = _solve(emb2, t, trace)
-        extra = {c.assign[x] for x in others.values()}
-        c = _extend_or_die(g, c, v, extra, "d2 vertex")
-        for u in twos:
-            c = _extend_or_die(g, c, u, why="d2 pendant 2-vertex")
-        return c
-
-    raise AssertionError(f"unhandled configuration {cfg!r}")
+        if kept != 1:
+            raise EngineInvariantError(f"color of {y} appears {kept} times on N({x})")
+    else:  # D2Vertex
+        extra = {c.assign[x] for x in aux.values()}
+        _extend_or_die(g, c, cfg.v, extra, "d2 vertex")
+        for u in aux:
+            _extend_or_die(g, c, u, why="d2 pendant 2-vertex")
 
 
 def _anchor_permutation(
@@ -572,54 +559,35 @@ def _anchor_permutation(
     return perm
 
 
-def _anchored_side(
-    g_side: Graph, c: Coloring, end: int, color_anchor: int, odd_anchor: int
-) -> Coloring:
-    """Permute a side's coloring so the bridge endpoint gets color_anchor
-    and, when the endpoint keeps neighbors on its side, one of its odd
-    neighborhood colors gets odd_anchor."""
-    fixed = {c.assign[end]: color_anchor}
-    if g_side.degree(end) >= 1:
-        odd = odd_colors(g_side, c, end)
-        if not odd:
+def _odd_on_side(g: Graph, c: Coloring, end: int, far: int) -> set[int]:
+    """Odd colors on end's neighbors other than far, the bridge's other end
+    (far's color toggles the parity of exactly one color)."""
+    return odd_colors(g, c, end) ^ {c.assign[far]}
+
+
+def _anchor_bridge(g: Graph, c: Coloring, x: int, y: int, side_x: set[int]) -> None:
+    """Permute the colors of each side of the bridge xy so x gets 1 and y
+    gets 3 and, when an endpoint keeps neighbors on its side, one of its
+    odd colors there becomes 2 (at x) or 4 (at y)."""
+    side_y = set(g.vertices()).difference(side_x)
+    for end, far, side, color_anchor, odd_anchor in (
+        (x, y, side_x, 1, 2),
+        (y, x, side_y, 3, 4),
+    ):
+        fixed = {c.assign[end]: color_anchor}
+        if g.degree(end) > 1:
+            odd = _odd_on_side(g, c, end, far)
+            if not odd:
+                raise EngineInvariantError(
+                    f"side coloring is not odd at bridge endpoint {end}"
+                )
+            fixed.setdefault(min(odd), odd_anchor)
+        perm = _anchor_permutation(c.k, fixed)
+        for v in side:
+            c.assign[v] = perm[c.assign[v]]
+    # the literal proof-step check: color 2 is odd on N(x) minus y, 4 on N(y) minus x
+    for end, far, odd_anchor in ((x, y, 2), (y, x, 4)):
+        if g.degree(end) > 1 and odd_anchor not in _odd_on_side(g, c, end, far):
             raise EngineInvariantError(
-                f"side coloring is not odd at bridge endpoint {end}"
+                f"color {odd_anchor} is not odd at bridge endpoint {end}"
             )
-        pick = min(odd)
-        if pick not in fixed:
-            fixed[pick] = odd_anchor
-    return c.relabel(_anchor_permutation(c.k, fixed))
-
-
-def _reduce_bridge(
-    emb: OnePlaneGraph,
-    g: Graph,
-    t: Thresholds,
-    cfg: Bridge,
-    trace: ReductionTrace,
-    before: tuple[int, int],
-) -> Coloring:
-    x, y = cfg.x, cfg.y
-    emb2 = delete_g_edge(emb, x, y)
-    parts = split_components(emb2)
-    part_x = next(p for p in parts if x in p.vertices())
-    part_y = next(p for p in parts if y in p.vertices())
-    if part_x is part_y or len(parts) > 2:
-        # edges of the two sides cross, or a third component crossed xy:
-        # the planarization does not split the way the underlying graph does
-        side_x = next(c for c in connected_components(g.delete_edge(x, y)) if x in c)
-        part_x = delete_real_vertices(emb2, set(g.vertices()).difference(side_x))
-        part_y = delete_real_vertices(emb2, side_x)
-    trace.record(
-        "Bridge", (x, y), before, [_metrics(part_x), _metrics(part_y)]
-    )
-    gx, gy = underlying_graph(part_x), underlying_graph(part_y)
-    cx = _anchored_side(gx, _solve(part_x, t, trace), x, 1, 2)
-    cy = _anchored_side(gy, _solve(part_y, t, trace), y, 3, 4)
-    merged = union(cx, cy)
-    if gx.degree(x) >= 1:
-        # the literal proof-step check: color 2 is odd on N(x) minus y
-        assert 2 in odd_colors(gx, merged, x)
-    if gy.degree(y) >= 1:
-        assert 4 in odd_colors(gy, merged, y)
-    return merged

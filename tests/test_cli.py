@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oddcolor import cli, exact
+from oddcolor import cli, exact, minor_closed
 from oddcolor.cli import main
 from oddcolor.coloring import Coloring
 from oddcolor.discharging import discharge
@@ -96,6 +96,13 @@ class TestColorVerify:
         if error is NoConfigFoundError:
             assert payload["audit"] == json.loads(report.to_json())
 
+    def test_minor_closed_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "c5.graph.json"
+        save_graph(cycle(5), p)
+        monkeypatch.setattr(minor_closed, "greedy_extend", lambda g, c, v, extra=(): 1)
+        code, payload, _ = run(capsys, "color", "--engine", "minor-closed", "--d", "2", str(p))
+        assert code == 3 and payload["error"] == "EngineInvariantError"
+
     def test_reduction_requires_embedding(self, c4_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["color", "--engine", "reduction", c4_file])
@@ -151,6 +158,13 @@ class TestOtherCommands:
         save_graph(cycle(6), p)
         code, payload, err = run(capsys, "chi", str(p))
         assert code == 0 and payload["chi_o"] == 3
+
+    def test_chi_recursion_error_exits_3(self, tmp_path, capsys):
+        # the exact search takes one frame per vertex
+        p = tmp_path / "c1500.graph.json"
+        save_graph(cycle(1500), p)
+        code, payload, _ = run(capsys, "chi", str(p))
+        assert code == 3 and payload["error"] == "RecursionError" and payload["detail"]
 
     def test_chi_inconclusive_exit(self, tmp_path, capsys):
         p = tmp_path / "c5.graph.json"

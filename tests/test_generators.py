@@ -58,7 +58,7 @@ class TestFigure4:
 
     def test_triggers_swap_under_scaled_thresholds(self):
         emb = figure4_pattern()
-        cfg = find_reducible(emb, Thresholds(K=7, BIG=4, ODD_MAX=3))
+        cfg = find_reducible(emb, Thresholds(K=7, BIG=4))
         assert isinstance(cfg, SixFourSwap)
 
     def test_pattern_faces_present(self):

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from conftest import random_graph
-from oddcolor.coloring import is_odd_coloring
+from oddcolor import minor_closed
+from oddcolor.coloring import EngineInvariantError, is_odd_coloring
 from oddcolor.graphs import Graph, complete, connected_components, cycle, path, star
 from oddcolor.generators import random_outerplanar, random_tree
 from oddcolor.minor_closed import (
@@ -78,6 +79,13 @@ class TestAlgorithm:
     def test_not_degenerate_detected(self):
         with pytest.raises(NotDegenerateError):
             odd_color_minor_closed(complete(4), 1)
+
+    def test_broken_extension_raises(self, monkeypatch):
+        # every vertex gets color 1, so the kept endpoint's color shows up
+        # twice on a 2-vertex's neighborhood; the check must survive -O
+        monkeypatch.setattr(minor_closed, "greedy_extend", lambda g, c, v, extra=(): 1)
+        with pytest.raises(EngineInvariantError, match="appears 2 times"):
+            odd_color_minor_closed(cycle(5), 2)
 
     def test_trace_replays(self):
         g = fan(4)

@@ -1,5 +1,6 @@
 """Reduction engine: configuration search, surgeries, end-to-end coloring."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from oddcolor.generators import (
     figure4_pattern,
     inject_adjacent_crossing,
     k7_star_embedding,
+    path_embedding,
     random_one_plane,
     star_embedding,
 )
@@ -30,7 +32,7 @@ from oddcolor.reduction import (
     uncross_two_face,
 )
 
-TOY = Thresholds(K=7, BIG=4, ODD_MAX=3)
+TOY = Thresholds(K=7, BIG=4)
 
 
 class TestThresholds:
@@ -40,9 +42,7 @@ class TestThresholds:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Thresholds(K=10, BIG=12, ODD_MAX=11)
-        with pytest.raises(ValueError):
-            Thresholds(K=23, BIG=13, ODD_MAX=11)
+            Thresholds(K=10, BIG=12)
 
 
 class TestFindReducible:
@@ -190,10 +190,25 @@ class TestUncrossSixFour:
             uncross_six_four(emb, SixFourSwap(u=3, w=4, v=0, z=12, c=5))
 
 
+def path_crossed_by_second_component(n: int = 60):
+    """A path whose edge (2, 3) is crossed at w by the edge a-b of a second
+    component: deleting that bridge leaves three planarization parts."""
+    from oddcolor.embedding import OnePlaneGraph, REAL, VIRTUAL
+
+    a, b, w = n, n + 1, n + 2
+    kinds = {v: REAL for v in range(n + 2)}
+    kinds[w] = VIRTUAL
+    edges = [(i, i + 1) for i in range(n - 1) if i != 2]
+    edges += [(2, w), (w, 3), (a, w), (w, b)]
+    rot = {v: [i for i, e in enumerate(edges) if v in e] for v in kinds}
+    rot[w] = [edges.index(e) for e in ((2, w), (a, w), (w, 3), (w, b))]
+    return OnePlaneGraph(kinds, edges, rot)
+
+
 class TestEngine:
     def test_rejects_small_palette(self):
         with pytest.raises(ValueError):
-            odd_color_1planar(cycle_embedding(5), Thresholds(K=22, BIG=11, ODD_MAX=10))
+            odd_color_1planar(cycle_embedding(5), Thresholds(K=22, BIG=11))
 
     def test_c5(self):
         emb = cycle_embedding(5)
@@ -253,19 +268,7 @@ class TestEngine:
         assert len(c.colors_used()) <= 23
 
     def test_bridge_crossed_by_another_component(self):
-        # a path whose edge (2, 3) is crossed at w by the edge a-b of a second
-        # component: deleting that bridge leaves three planarization parts
-        from oddcolor.embedding import OnePlaneGraph, REAL, VIRTUAL
-
-        n = 60
-        a, b, w = n, n + 1, n + 2
-        kinds = {v: REAL for v in range(n + 2)}
-        kinds[w] = VIRTUAL
-        edges = [(i, i + 1) for i in range(n - 1) if i != 2]
-        edges += [(2, w), (w, 3), (a, w), (w, b)]
-        rot = {v: [i for i, e in enumerate(edges) if v in e] for v in kinds}
-        rot[w] = [edges.index(e) for e in ((2, w), (a, w), (w, 3), (w, b))]
-        emb = OnePlaneGraph(kinds, edges, rot)
+        emb = path_crossed_by_second_component()
         c, _ = odd_color_1planar(emb)
         assert is_odd_coloring(underlying_graph(emb), c)
 
@@ -405,7 +408,7 @@ class TestEngineBranches:
         emb, z = self.build_instance()
         g = underlying_graph(emb)
         assert g.n > 23  # the driver must actually reduce
-        scaled = Thresholds(K=23, BIG=4, ODD_MAX=3)
+        scaled = Thresholds(K=23, BIG=4)
         coloring, trace = odd_color_1planar(emb, scaled)
         assert is_odd_coloring(g, coloring)
         assert len(coloring.colors_used()) <= 23
@@ -413,3 +416,53 @@ class TestEngineBranches:
         assert "UncrossedSmallEdge" in tags
         assert "TwoFaceUncross" in tags
         assert "D2Vertex" in tags
+
+
+# ----------------------------------------------------------------------
+# Pinned engine output
+# ----------------------------------------------------------------------
+#
+# sha256 of (sorted coloring items, trace steps) per instance.  How the
+# engine walks its reductions is free to change; which configuration it
+# picks, the coloring it builds and the trace it reports are not.  Change
+# a digest only with a deliberate change to the engine's choices.
+PINNED_OUTPUTS = {
+    "random_one_plane(100, 0.5, 1717400629)": "7fa583c4169e5537b88e75e24a661fef8860de1c6fb0170dcad2a4ce65fd49f2",
+    "random_one_plane(100, 0.5, 314395342)": "a97315b37d3dc1ea226a4353fe011aa5ed0b432d33a019993377cd229ef50b9c",
+    "path_crossed_by_second_component": "d612e6dc70da99d519527c2173f008cb8f736daad0072b662b2c904c77f46636",
+    "engine_branches(BIG=4)": "be96d3737bbe74b646b4a1cbe3ae3c376b523068b5e1dcdeec9a4504417ca3f3",
+    "k7_star": "b6fa132dee9d01ca06897bb28e2639d345045943604ce48c4231998324f33de2",
+    "path_embedding(64)": "2567ea9ee01162509103b0bc5b49a2a116fad2a6a10d2fe7cf0133bb2bd3bd2b",
+    "cycle_embedding(64)": "fef0c4b8ed43b7aa1273b664523133763a690690ec037cb04ebdabfa8f3e41c0",
+    "star_embedding(63)": "0b223a73db0ac66508f312d3a85dda95ea91172d348b74607553817cd5ecae06",
+    "random_one_plane(40, 0.0, 11)": "b8f299109d30913fa5bed447253933e8b09edb97020749473104ae5a77b8acfb",
+    "random_one_plane(50, 0.5, 12)": "f7b3d9cb82b45066fa1392e7c7f5d4884621004b947e6a0564afa99eed710802",
+    "random_one_plane(60, 1.0, 13)": "8cfb8bad585e01778d4827e31b4cdbe3248eb1e70a59de4997d698e70b3f011b",
+    "random_one_plane(80, 0.5, 14)": "3c125293813a42d0f599670f1c883a5f192ef721e8e53425ca9883a58d5a7fdd",
+}
+
+
+def _pinned_cases():
+    t = Thresholds()
+    for seed in (1717400629, 314395342):
+        yield f"random_one_plane(100, 0.5, {seed})", random_one_plane(100, 0.5, seed=seed), t
+    yield "path_crossed_by_second_component", path_crossed_by_second_component(), t
+    branches, _ = TestEngineBranches().build_instance()
+    yield "engine_branches(BIG=4)", branches, Thresholds(K=23, BIG=4)
+    yield "k7_star", k7_star_embedding(), t
+    yield "path_embedding(64)", path_embedding(64), t
+    yield "cycle_embedding(64)", cycle_embedding(64), t
+    yield "star_embedding(63)", star_embedding(63), t
+    for n, p_cross, seed in ((40, 0.0, 11), (50, 0.5, 12), (60, 1.0, 13), (80, 0.5, 14)):
+        yield f"random_one_plane({n}, {p_cross}, {seed})", random_one_plane(n, p_cross, seed=seed), t
+
+
+def _output_digest(emb, t: Thresholds) -> str:
+    c, trace = odd_color_1planar(emb, t)
+    payload = repr((sorted(c.assign.items()), trace.steps))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_output_pinned():
+    got = {name: _output_digest(emb, t) for name, emb, t in _pinned_cases()}
+    assert got == PINNED_OUTPUTS
