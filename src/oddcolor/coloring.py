@@ -134,8 +134,12 @@ def greedy_extend(
     None when no color remains.  v must be uncolored."""
     if v in c.assign:
         raise ValueError(f"vertex {v} is already colored")
-    banned = forbidden_set(g, c, v) | set(extra)
-    for color in range(1, c.k + 1):
+    return smallest_free(forbidden_set(g, c, v) | set(extra), c.k)
+
+
+def smallest_free(banned: set[int], k: int) -> int | None:
+    """Smallest color in 1..k outside ``banned``; None when all are banned."""
+    for color in range(1, k + 1):
         if color not in banned:
             return color
     return None
@@ -160,7 +164,8 @@ class OddTracker:
         }
 
     def assign(self, v: int, color: int) -> None:
-        assert v not in self.color
+        if v in self.color:
+            raise ValueError(f"vertex {v} is already colored")
         self.color[v] = color
         for u in self.g.neighbors(v):
             cnt = self._counts[u]
@@ -191,22 +196,24 @@ class OddTracker:
         for col, m in self._counts[v].items():
             if m % 2 == 1:
                 return col
-        raise AssertionError("odd count desynchronized")
+        raise EngineInvariantError("odd count desynchronized")
 
     def as_coloring(self) -> Coloring:
         return Coloring(self.k, self.color)
 
     def check_against_recompute(self) -> None:
-        """Full recomputation cross-check of every incremental table."""
+        """Full recomputation cross-check of every incremental table;
+        raises EngineInvariantError on the first mismatch."""
         c = self.as_coloring()
         for v in self.g.vertices():
             fresh = Counter(
                 c.assign[u] for u in self.g.neighbors(v) if u in c.assign
             )
-            assert fresh == +self._counts[v], f"counts differ at {v}"
-            assert self._num_odd[v] == sum(
-                1 for m in fresh.values() if m % 2 == 1
-            ), f"odd count differs at {v}"
-            assert self._uncolored_nbrs[v] == sum(
+            if fresh != +self._counts[v]:
+                raise EngineInvariantError(f"counts differ at {v}")
+            if self._num_odd[v] != sum(1 for m in fresh.values() if m % 2 == 1):
+                raise EngineInvariantError(f"odd count differs at {v}")
+            if self._uncolored_nbrs[v] != sum(
                 1 for u in self.g.neighbors(v) if u not in c.assign
-            ), f"uncolored count differs at {v}"
+            ):
+                raise EngineInvariantError(f"uncolored count differs at {v}")

@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 
 from ._geom import DegenerateDrawingError, Polyline, Pt, param_between, pt, sort_ccw
+from .coloring import EngineInvariantError
 from .embedding import (
     REAL,
     VIRTUAL,
@@ -30,6 +31,14 @@ from .embedding import (
     validate,
 )
 from .graphs import Graph, complete, cycle, path, star, subdivided_complete
+
+
+def _checked(emb: OnePlaneGraph) -> OnePlaneGraph:
+    """emb itself, once the validator finds nothing wrong with it."""
+    bad = validate(emb)
+    if bad:
+        raise EngineInvariantError(f"generated an invalid embedding: {bad[0]}")
+    return emb
 
 
 # ----------------------------------------------------------------------
@@ -193,9 +202,7 @@ def k7_star_embedding() -> OnePlaneGraph:
         routes[(e[0], sub_id)] = first.points[1:-1]
         routes[(sub_id, e[1])] = second.points[1:-1]
         sub_id += 1
-    emb = embed_drawn_graph(points, routes)
-    assert not validate(emb)
-    return emb
+    return _checked(embed_drawn_graph(points, routes))
 
 
 # ----------------------------------------------------------------------
@@ -240,9 +247,7 @@ FIG4_SWAP_WITNESS = {"u": 1, "w": 2, "v": 0}
 
 
 def figure4_pattern() -> OnePlaneGraph:
-    emb = embed_drawn_graph(_FIG4_POINTS, _FIG4_ROUTES)
-    assert not validate(emb)
-    return emb
+    return _checked(embed_drawn_graph(_FIG4_POINTS, _FIG4_ROUTES))
 
 
 # ----------------------------------------------------------------------
@@ -379,9 +384,7 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
             g_edges.add(chord1)
             g_edges.add(chord2)
             break
-    emb = b.build()
-    assert not validate(emb)
-    return emb
+    return _checked(b.build())
 
 
 def inject_adjacent_crossing(emb: OnePlaneGraph, v: int, pos: int) -> OnePlaneGraph:

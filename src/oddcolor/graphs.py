@@ -8,6 +8,7 @@ directly to the parent graph.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator
 
 
@@ -174,26 +175,31 @@ def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
     vertex has at most d neighbors that come later; the reverse order is
     the usual smallest-last coloring order.
     """
-    deg = {v: g.degree(v) for v in g.vertices()}
     alive: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
-    buckets: dict[int, set[int]] = {}
-    for v, d in deg.items():
-        buckets.setdefault(d, set()).add(v)
+    heap = [(len(ns), v) for v, ns in alive.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     dmax = 0
     for _ in range(g.n):
-        d = min(b for b in buckets if buckets[b])
-        v = min(buckets[d])
-        buckets[d].remove(v)
-        dmax = max(dmax, d)
+        v = pop_min_degree(heap, alive)
+        dmax = max(dmax, len(alive[v]))
         order.append(v)
-        for u in alive[v]:
+        for u in alive.pop(v):
             alive[u].remove(v)
-            buckets[deg[u]].remove(u)
-            deg[u] -= 1
-            buckets.setdefault(deg[u], set()).add(u)
-        del alive[v], deg[v]
+            heapq.heappush(heap, (len(alive[u]), u))
     return dmax, order
+
+
+def pop_min_degree(heap: list[tuple[int, int]], adj: dict[int, set[int]]) -> int:
+    """Pop the vertex of ``adj`` with least (degree, id) from a lazy heap.
+
+    The heap holds a (degree, id) entry for every vertex, pushed anew
+    whenever its degree changes; entries of deleted vertices and of
+    degrees that have changed since the push are skipped."""
+    while True:
+        d, v = heapq.heappop(heap)
+        if v in adj and len(adj[v]) == d:
+            return v
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:

@@ -8,6 +8,15 @@ kept endpoint's color appears exactly once on the new vertex's neighborhood,
 which is what makes the extension odd; that fact is checked after every
 extension step.
 
+Each component is contracted on one mutable adjacency.  The vertex x of
+least (degree, id) comes from a lazy heap, merges into its lowest-id
+neighbor y in O(d), and the merge goes on an undo log as (x, y, N(x), the
+neighbors y gained).  The unwind walks the log backwards and keeps, per
+vertex, a table of how many neighbors carry each color: undoing a merge
+takes y's gained edges out of the tables, and a neighbor's unique odd
+color is read off its table in O(k).  The graph itself is never rebuilt,
+so a component costs O(n*d^2 + m log n) time and O(n*d + m) memory.
+
 Family membership is not verified structurally.  What the procedure
 actually consumes is that every contraction result still has a vertex of
 degree at most d, and that is checked at every step.
@@ -15,10 +24,11 @@ degree at most d, and that is checked at every step.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, EngineInvariantError, greedy_extend, is_odd_coloring, union
-from .graphs import Graph, connected_components
+from .coloring import Coloring, EngineInvariantError, is_odd_coloring, smallest_free
+from .graphs import Graph, connected_components, pop_min_degree
 
 
 class NotDegenerateError(ValueError):
@@ -52,57 +62,76 @@ def odd_color_minor_closed(
     if d < 0:
         raise ValueError("d must be >= 0")
     k = 2 * d + 1
-    colorings = []
-    traces = []
-    for comp in connected_components(g):
-        sub = g.subgraph(comp)
-        c, trace = _color_component(sub, d, k)
-        colorings.append(c)
-        traces.append(trace)
-    if not colorings:
-        return Coloring(k, {}), []
-    merged = union(*colorings)
-    if not is_odd_coloring(g, merged):
+    color: dict[int, int] = {}
+    traces = [_color_component(g, comp, d, k, color) for comp in connected_components(g)]
+    c = Coloring(k, color)
+    if not is_odd_coloring(g, c):
         raise EngineInvariantError("engine emitted a non-odd coloring")
-    return merged, traces
+    return c, traces
 
 
-def _color_component(g: Graph, d: int, k: int) -> tuple[Coloring, ContractionTrace]:
+def _color_component(
+    g: Graph, comp: list[int], d: int, k: int, color: dict[int, int]
+) -> ContractionTrace:
+    """Color the connected component ``comp`` of g into ``color``."""
     trace = ContractionTrace()
-    # contract down to a single vertex, keeping each intermediate graph
-    levels: list[tuple[Graph, int, int]] = []  # (graph before step, x, y)
-    cur = g
-    while cur.n > 1:
-        x = min(cur.vertices(), key=lambda v: (cur.degree(v), v))
-        if cur.degree(x) > d:
-            raise NotDegenerateError(cur, d)
-        if cur.degree(x) == 0:
+    adj = {v: set(g.neighbors(v)) for v in comp}
+    heap = [(len(ns), v) for v, ns in adj.items()]
+    heapq.heapify(heap)
+    log: list[tuple[int, int, set[int], list[int]]] = []  # (x, y, N(x), gained by y)
+    while len(adj) > 1:
+        x = pop_min_degree(heap, adj)
+        if len(adj[x]) > d:
+            raise NotDegenerateError(Graph(adj), d)
+        if not adj[x]:
             # disconnected inputs are split by the caller; unreachable here
             raise EngineInvariantError("isolated vertex in connected component")
-        y = min(cur.neighbors(x))
-        levels.append((cur, x, y))
+        nx = adj.pop(x)
+        y = min(nx)
+        ny = adj[y]
+        ny.remove(x)
+        gained = []
+        for w in nx - {y}:
+            adj[w].remove(x)
+            if w in ny:
+                heapq.heappush(heap, (len(adj[w]), w))
+            else:
+                adj[w].add(y)
+                ny.add(w)
+                gained.append(w)
+        heapq.heappush(heap, (len(ny), y))
+        log.append((x, y, nx, gained))
         trace.steps.append((x, y))
-        cur, _ = cur.contract(x, y)
-    base = cur.vertices()[0]
-    trace.base = base
-    c = Coloring(k, {base: 1})
-    # unwind: y already carries the merged vertex's color; extend to x
-    for before, x, y in reversed(levels):
-        color = greedy_extend(before, c, x)
-        if color is None:
+    (trace.base,) = adj
+    color[trace.base] = 1
+    # counts[v][c]: neighbors of v colored c, on the graph unwound so far
+    counts = {trace.base: [0] * (k + 1)}
+    for x, y, nx, gained in reversed(log):
+        for w in gained:
+            counts[y][color[w]] -= 1
+            counts[w][color[y]] -= 1
+        counts[x] = cx = [0] * (k + 1)
+        banned = set()
+        for u in nx:
+            cx[color[u]] += 1
+            banned.add(color[u])
+            odd = [col for col, m in enumerate(counts[u]) if m % 2]
+            if len(odd) == 1:
+                banned.add(odd[0])
+        c = smallest_free(banned, k)
+        if c is None:
             raise EngineInvariantError(
                 f"no color free for vertex {x}: degeneracy bound violated"
             )
-        c = c.set(x, color)
+        color[x] = c
+        for u in nx:
+            counts[u][c] += 1
         # the kept endpoint's color occurs exactly once on x's neighborhood
-        occurrences = sum(
-            1 for u in before.neighbors(x) if c.assign.get(u) == c.assign[y]
-        )
-        if occurrences != 1:
+        if cx[color[y]] != 1:
             raise EngineInvariantError(
-                f"color of {y} appears {occurrences} times on N({x})"
+                f"color of {y} appears {cx[color[y]]} times on N({x})"
             )
-    return c, trace
+    return trace
 
 
 # ----------------------------------------------------------------------

@@ -269,39 +269,40 @@ def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> Reducibl
 
 
 def check_config(emb: OnePlaneGraph, t: Thresholds, cfg: ReducibleConfig) -> None:
-    """Independent hypothesis check; raises AssertionError on mismatch."""
+    """Independent hypothesis check; raises EngineInvariantError on mismatch."""
     g = underlying_graph(emb)
     if isinstance(cfg, Bridge):
-        assert (min(cfg.x, cfg.y), max(cfg.x, cfg.y)) in bridges(g)
+        ok = (min(cfg.x, cfg.y), max(cfg.x, cfg.y)) in bridges(g)
     elif isinstance(cfg, OddLowVertex):
         d = g.degree(cfg.v)
-        assert d % 2 == 1 and d <= t.ODD_MAX
+        ok = d % 2 == 1 and d <= t.ODD_MAX
     elif isinstance(cfg, SmallPair):
-        assert g.has_edge(cfg.v, cfg.w)
-        assert g.degree(cfg.v) <= t.ODD_MAX - 1
-        assert g.degree(cfg.w) <= t.ODD_MAX - 1
+        ok = g.has_edge(cfg.v, cfg.w) and max(g.degree(cfg.v), g.degree(cfg.w)) <= t.ODD_MAX - 1
     elif isinstance(cfg, UncrossedSmallEdge):
-        assert g_edges(emb)[(min(cfg.x, cfg.y), max(cfg.x, cfg.y))] is None
-        assert g.degree(cfg.x) <= t.ODD_MAX
+        edges = g_edges(emb)
+        xy = (min(cfg.x, cfg.y), max(cfg.x, cfg.y))
+        ok = xy in edges and edges[xy] is None and g.degree(cfg.x) <= t.ODD_MAX
     elif isinstance(cfg, TwoFaceUncross):
-        assert emb.is_virtual(cfg.w)
-        assert any(
+        ok = emb.is_virtual(cfg.w) and any(
             f.len == 2 and cfg.w in (emb.origin(f.darts[0]), emb.origin(f.darts[1]))
             for f in emb.faces()
         )
     elif isinstance(cfg, D2Vertex):
         d2 = _d2(g, cfg.v)
-        assert d2 >= 1 and 2 * g.degree(cfg.v) < d2 + t.K
+        ok = d2 >= 1 and 2 * g.degree(cfg.v) < d2 + t.K
     elif isinstance(cfg, SixFourSwap):
-        for x in (cfg.u, cfg.w, cfg.v):
-            assert not emb.is_virtual(x) and emb.degree(x) == 2
-        assert emb.is_virtual(cfg.z) and not emb.is_virtual(cfg.c)
-        # z is the crossing of u's and w's second edges
-        e1, e2 = emb.crossing_edges(cfg.z)
-        assert (cfg.u in e1 and cfg.w in e2) or (cfg.u in e2 and cfg.w in e1)
-        assert g.has_edge(cfg.u, cfg.c) and g.has_edge(cfg.w, cfg.c)
+        ok = all(not emb.is_virtual(x) and emb.degree(x) == 2 for x in (cfg.u, cfg.w, cfg.v))
+        if ok and emb.is_virtual(cfg.z) and not emb.is_virtual(cfg.c):
+            # z is the crossing of u's and w's second edges
+            e1, e2 = emb.crossing_edges(cfg.z)
+            ok = (cfg.u in e1 and cfg.w in e2) or (cfg.u in e2 and cfg.w in e1)
+            ok = ok and g.has_edge(cfg.u, cfg.c) and g.has_edge(cfg.w, cfg.c)
+        else:
+            ok = False
     else:
-        raise AssertionError(f"unknown config {cfg!r}")
+        raise TypeError(f"unknown config {cfg!r}")
+    if not ok:
+        raise EngineInvariantError(f"{cfg!r} does not meet its hypothesis")
 
 
 # ----------------------------------------------------------------------

@@ -99,7 +99,7 @@ class TestColorVerify:
     def test_minor_closed_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "c5.graph.json"
         save_graph(cycle(5), p)
-        monkeypatch.setattr(minor_closed, "greedy_extend", lambda g, c, v, extra=(): 1)
+        monkeypatch.setattr(minor_closed, "smallest_free", lambda banned, k: 1)
         code, payload, _ = run(capsys, "color", "--engine", "minor-closed", "--d", "2", str(p))
         assert code == 3 and payload["error"] == "EngineInvariantError"
 

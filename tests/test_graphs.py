@@ -1,5 +1,7 @@
 """Graph structure: degeneracy, bridges, contraction, deletion."""
 
+import hashlib
+
 import pytest
 
 from conftest import random_graph
@@ -120,6 +122,17 @@ class TestDegeneracy:
     def test_against_subgraph_oracle(self, seed):
         g = random_graph(8, 0.45, seed=seed)
         assert degeneracy_order(g)[0] == brute_degeneracy(g)
+
+    def test_star_order(self):
+        # the hub goes once its degree falls to the leaves' and wins the tie
+        assert degeneracy_order(star(50)) == (1, [*range(1, 50), 0, 50])
+
+    def test_orders_pinned(self):
+        # digest of the orders from the bucket-scan version of degeneracy_order
+        gs = [random_graph(20 + s, 0.1 + 0.05 * (s % 5), s) for s in range(10)]
+        got = repr([degeneracy_order(g) for g in gs]).encode()
+        want = "6b2f0c3354671e98430afc5e7e6871b91931733c79915127037e4c1baad5c74b"
+        assert hashlib.sha256(got).hexdigest() == want
 
 
 class TestBridges:

@@ -1,0 +1,41 @@
+"""Proof-step and hypothesis checks survive ``python -O``."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import oddcolor
+
+SRC = Path(oddcolor.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so every check must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_check_config_raises_under_optimize():
+    # vertex 0 of a 5-cycle has degree 2, so it is no odd low vertex
+    script = (
+        "from oddcolor.coloring import EngineInvariantError\n"
+        "from oddcolor.generators import cycle_embedding\n"
+        "from oddcolor.reduction import OddLowVertex, Thresholds, check_config\n"
+        "try:\n"
+        "    check_config(cycle_embedding(5), Thresholds(), OddLowVertex(0))\n"
+        "except EngineInvariantError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"

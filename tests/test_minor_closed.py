@@ -1,8 +1,16 @@
 """Contraction coloring for degenerate minor-closed families."""
 
+import hashlib
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import oddcolor
 
 from conftest import random_graph
 from oddcolor import minor_closed
@@ -22,6 +30,20 @@ def fan(n: int) -> Graph:
     edges = [(0, i) for i in range(1, n + 1)]
     edges += [(i, i + 1) for i in range(1, n)]
     return Graph.from_edges(n + 1, edges)
+
+
+def stacked_triangulation(n: int, seed: int) -> Graph:
+    """Random planar stacked triangulation: each new vertex splits a face."""
+    rng = random.Random(seed)
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces[i]
+        edges += [(a, v), (b, v), (c, v)]
+        faces[i] = (a, b, v)
+        faces += [(b, c, v), (a, c, v)]
+    return Graph.from_edges(n, edges)
 
 
 def brute_has_k4_minor(g: Graph) -> bool:
@@ -83,7 +105,7 @@ class TestAlgorithm:
     def test_broken_extension_raises(self, monkeypatch):
         # every vertex gets color 1, so the kept endpoint's color shows up
         # twice on a 2-vertex's neighborhood; the check must survive -O
-        monkeypatch.setattr(minor_closed, "greedy_extend", lambda g, c, v, extra=(): 1)
+        monkeypatch.setattr(minor_closed, "smallest_free", lambda banned, k: 1)
         with pytest.raises(EngineInvariantError, match="appears 2 times"):
             odd_color_minor_closed(cycle(5), 2)
 
@@ -103,6 +125,59 @@ class TestAlgorithm:
             c, _ = odd_color_minor_closed(g, 1)
             assert is_odd_coloring(g, c)
             assert max(c.colors_used()) <= 3
+
+    def test_output_pinned(self):
+        # digests of the colorings and traces of the engine that contracted
+        # by copying the whole graph at every step
+        three = Graph.from_edges(
+            22,
+            [(i, (i + 1) % 7) for i in range(7)]
+            + [(i, i + 1) for i in range(7, 15)]
+            + [(16, i) for i in range(17, 22)],
+        )
+        cases = [
+            (random_tree(256, 7), 1),
+            (random_outerplanar(256, 7), 2),
+            (stacked_triangulation(256, 7), 5),
+            (path(500), 1),
+            (star(300), 1),
+            (three, 2),
+            # merges that raise degrees, so stale heap entries must be skipped
+            (random_graph(60, 0.1, seed=11), 59),
+        ]
+        digests = [
+            "138f0b07f6a1dd66e7cb70e966244b2e5258414812d1eae5cf04cc69e512ba5f",
+            "0115e88150f44ae44670c681c5057ba533b4bd3bf73b589ef5c210bc9fbade1d",
+            "87f3d2c4ceb4df6282b92c77752e3aba9f084948fc6bb30bc17f8fef060b4561",
+            "7127d505d16066931771b5598360031d80b77766341527f88fd817d2f5c88835",
+            "5d11c8dfa6721585bac1231017fc1c2df465a5f011a4f8ed6eccb5cc01c7b7bb",
+            "7482e4db6e725373d9fd2a64c4e9696b2c3ea1421db13b6cb5f715c031a25758",
+            "eefa8dbee71c27558e6d66df846dd40e83bf9909c43a02a64e844d974eb465a2",
+        ]
+        for (g, d), want in zip(cases, digests):
+            c, traces = odd_color_minor_closed(g, d)
+            got = repr((sorted(c.assign.items()), [(t.steps, t.base) for t in traces]))
+            assert hashlib.sha256(got.encode()).hexdigest() == want
+
+    def test_scale_under_memory_cap(self):
+        # a path and a star of 10**5 vertices, under a 1 GiB address-space cap
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from oddcolor.coloring import is_odd_coloring\n"
+            "from oddcolor.graphs import path, star\n"
+            "from oddcolor.minor_closed import odd_color_minor_closed\n"
+            "for g in (path(10**5), star(10**5)):\n"
+            "    c, _ = odd_color_minor_closed(g, 1)\n"
+            "    assert is_odd_coloring(g, c) and max(c.colors_used()) == 3\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(oddcolor.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestK4MinorFree:
