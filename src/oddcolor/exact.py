@@ -1,10 +1,11 @@
 """Complete search for odd k-colorings and the odd chromatic number.
 
-Backtracking over a fixed vertex order (highest degree first within a
-connected traversal), with color-symmetry breaking and a parity forward
-check: after coloring v, any vertex u adjacent to v whose neighborhood just
-became fully colored must already see a color an odd number of times --
-u's own color can never repair its neighborhood, so such a branch is dead.
+Backtracking on an explicit stack (no Python frame per vertex) over a
+fixed vertex order (highest degree first within a connected traversal),
+with color-symmetry breaking and a parity forward check: after coloring v,
+any vertex u adjacent to v whose neighborhood just became fully colored
+must already see a color an odd number of times -- u's own color can never
+repair its neighborhood, so such a branch is dead.
 The subdivided complete graphs die immediately under this check whenever
 two branch vertices share a color, which is what makes the lower-bound
 searches practical.
@@ -80,7 +81,6 @@ def _search(
     tracker = OddTracker(g, k)
     nodes = 0
     limit = cfg.node_limit
-    hit_limit = False
 
     def allowed(v: int, max_used: int) -> list[int]:
         top = min(k, max_used + 1) if cfg.symmetry_breaking else k
@@ -99,35 +99,35 @@ def _search(
                 return False
         return True
 
-    def rec(i: int, max_used: int) -> Coloring | None:
-        nonlocal nodes, hit_limit
-        if i == n:
+    witness = None
+    # frame i: the colors left to try at order[i], and the largest color on order[:i]
+    stack = [(iter(allowed(order[0], 0)), 0)]
+    while stack:
+        colors, max_used = stack[-1]
+        v = order[len(stack) - 1]
+        color = next(colors, None)
+        if color is None:
+            stack.pop()
+            if stack:
+                tracker.unassign(order[len(stack) - 1])
+            continue
+        nodes += 1
+        if limit is not None and nodes > limit:
+            return INCONCLUSIVE
+        tracker.assign(v, color)
+        if consistent_after(v):
+            top = max(max_used, color)
+            if len(stack) < n:
+                stack.append((iter(allowed(order[len(stack)], top)), top))
+                continue
             c = tracker.as_coloring()
             if cfg.forward_check or is_odd_coloring(g, c):
-                return c
-            return None
-        v = order[i]
-        for color in allowed(v, max_used):
-            nodes += 1
-            if limit is not None and nodes > limit:
-                hit_limit = True
-                return None
-            tracker.assign(v, color)
-            if consistent_after(v):
-                got = rec(i + 1, max(max_used, color))
-                if got is not None:
-                    return got
-            tracker.unassign(v)
-            if hit_limit:
-                return None
-        return None
-
-    witness = rec(0, 0)
-    if witness is not None:
-        if not is_odd_coloring(g, witness):
-            raise EngineInvariantError("search returned a non-odd witness")
-        return witness
-    return INCONCLUSIVE if hit_limit else None
+                witness = c
+                break
+        tracker.unassign(v)
+    if witness is not None and not is_odd_coloring(g, witness):
+        raise EngineInvariantError("search returned a non-odd witness")
+    return witness
 
 
 def exists_odd_k_coloring(
@@ -164,7 +164,7 @@ def min_odd_coloring(
             return got
     if top < g.n:
         return INCONCLUSIVE
-    raise AssertionError("no odd coloring found at k = |G|")  # unreachable
+    raise EngineInvariantError("no odd coloring found at k = |G|")
 
 
 def chi_o(

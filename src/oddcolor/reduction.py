@@ -2,24 +2,35 @@
 
 The engine works in two passes.  It first reduces: it repeatedly finds one
 of seven local configurations in a valid connected 1-plane embedding and
-shrinks the instance (or improves the drawing), logging each shrinking step,
-until every remaining instance is small enough to color with distinct
-colors.  It then replays the log last-in-first-out, extending one coloring
-back over each step.  The fixed priority matters: later configurations are
-only correct once the earlier ones are absent (for example, handling a
-vertex with 2-valent neighbors assumes no two small vertices are adjacent,
-so each 2-valent neighbor's other endpoint is big and survives the
-deletion).
+turns the instance into exactly one smaller instance (or one better
+drawing), logging each shrinking step, until every remaining instance is
+small enough to color with distinct colors.  Only splitting an instance
+into the components of its planarization makes several.  It then replays
+the log last-in-first-out, extending one coloring back over each step.
+The fixed priority matters where a later configuration is only correct
+once an earlier one is absent: handling a vertex with 2-valent neighbors
+assumes no two small vertices are adjacent, so each 2-valent neighbor's
+other endpoint is big and survives the deletion.
 
-  1. Bridge            split at a cut edge, color the sides, align anchors
-  2. OddLowVertex      odd degree <= 11: delete, extend greedily
-  3. SmallPair         adjacent degrees <= 10: delete both, extend in order
-  4. UncrossedSmallEdge  crossing-free edge at a small vertex: contract it
-  5. TwoFaceUncross    two edges at one vertex crossing: redraw uncrossed
-  6. D2Vertex          2d(v) < d2(v) + K: delete v and its 2-valent
+  1. OddLowVertex      odd degree <= 11: delete, extend greedily
+  2. SmallPair         adjacent degrees <= 10: delete both, extend in order
+  3. UncrossedSmallEdge  crossing-free edge at a small vertex: contract it
+  4. TwoFaceUncross    two edges at one vertex crossing: redraw uncrossed
+  5. D2Vertex          2d(v) < d2(v) + K: delete v and its 2-valent
                         neighbors, color v first, then the 2-vertices
-  7. SixFourSwap       the 6-face/4-face pattern: swap two 2-vertices,
+  6. SixFourSwap       the 6-face/4-face pattern: swap two 2-vertices,
                         removing their mutual crossing
+  7. Bridge            delete the cut edge xy, color what is left, then
+                        permute each side's colors to align anchors at x, y
+
+Bridge comes last because no other extension reads the absence of a
+bridge: OddLowVertex forbids at most 2 * 11 = 22 colors, and D2Vertex's
+surviving big neighbors rest on SmallPair being absent.  Its own extension
+permutes the colors of x's side and of y's side of g minus xy, which works
+on any coloring that is odd on g minus xy, whether or not deleting the edge
+split the planarization.  The kept-color and anchor checks and the final
+`is_odd_coloring` still raise on any slip.  A Bridge step shrinks the edge
+count, not |V|.
 
 A connected valid embedding larger than the palette always contains one of
 these: otherwise the discharging rules would leave every vertex and face
@@ -144,7 +155,7 @@ class TraceStep:
     tag: str
     witness: tuple
     before: tuple[int, int]  # (|V| of underlying, crossings)
-    after: tuple[tuple[int, int], ...]  # one entry per resulting piece
+    after: tuple[tuple[int, int], ...]  # the instance left; empty for a base case
 
 
 @dataclass
@@ -231,10 +242,6 @@ def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> Reducibl
     if g.n and len(emb.components()) != 1:
         raise ValueError("planarization must be connected")
 
-    br = bridges(g)
-    if br:
-        return Bridge(*br[0])
-
     for v in g.vertices():
         d = g.degree(v)
         if d % 2 == 1 and d <= t.ODD_MAX:
@@ -263,6 +270,10 @@ def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> Reducibl
     six_four = _find_six_four(emb)
     if six_four is not None:
         return six_four
+
+    br = bridges(g)
+    if br:
+        return Bridge(*br[0])
 
     _, _, report = discharging.discharge(emb, t.BIG, t.K)
     raise NoConfigFoundError(report)
@@ -465,23 +476,21 @@ def _reduce(
             continue
         cfg = find_reducible(emb, t)
         if isinstance(cfg, TwoFaceUncross):
-            pieces = [uncross_two_face(emb, cfg.w)]
+            emb = uncross_two_face(emb, cfg.w)
         elif isinstance(cfg, SixFourSwap):
-            pieces = [uncross_six_four(emb, cfg)]
+            emb = uncross_six_four(emb, cfg)
         else:
-            pieces, aux = _shrink(emb, g, cfg)
+            emb, aux = _shrink(emb, g, cfg)
             log.append((cfg, g, aux))
-        trace.record(
-            type(cfg).__name__, astuple(cfg), before, [_metrics(p) for p in pieces]
-        )
-        pending.extend(reversed(pieces))
+        trace.record(type(cfg).__name__, astuple(cfg), before, [_metrics(emb)])
+        pending.append(emb)
     return log
 
 
 def _shrink(
     emb: OnePlaneGraph, g: Graph, cfg: ReducibleConfig
-) -> tuple[list[OnePlaneGraph], object]:
-    """The smaller instances a shrinking configuration leaves, and what its
+) -> tuple[OnePlaneGraph, object]:
+    """The smaller instance a shrinking configuration leaves, and what its
     extension needs beyond g: x's side of a bridge, or each 2-valent
     neighbor of a D2Vertex mapped to its other end."""
     if isinstance(cfg, Bridge):
@@ -490,17 +499,16 @@ def _shrink(
             for side in connected_components(g.delete_edge(cfg.x, cfg.y))
             if cfg.x in side
         )
-        rest = set(g.vertices()).difference(side_x)
-        return [delete_real_vertices(emb, rest), delete_real_vertices(emb, side_x)], side_x
+        return delete_g_edge(emb, cfg.x, cfg.y), side_x
     if isinstance(cfg, OddLowVertex):
-        return [delete_real_vertices(emb, [cfg.v])], None
+        return delete_real_vertices(emb, [cfg.v]), None
     if isinstance(cfg, SmallPair):
-        return [delete_real_vertices(emb, [cfg.v, cfg.w])], None
+        return delete_real_vertices(emb, [cfg.v, cfg.w]), None
     if isinstance(cfg, UncrossedSmallEdge):
         x, y = cfg.x, cfg.y
         for z in sorted(g.neighbors(x) & g.neighbors(y)):
             emb = delete_g_edge(emb, x, z)
-        return [contract_uncrossed_edge(emb, x, y)], None
+        return contract_uncrossed_edge(emb, x, y), None
     # D2Vertex
     others = {}
     for u in sorted(u for u in g.neighbors(cfg.v) if g.degree(u) == 2):
@@ -508,7 +516,7 @@ def _shrink(
         if g.degree(other) == 2:
             raise EngineInvariantError(f"2-vertex {u} lacks a surviving big neighbor")
         others[u] = other
-    return [delete_real_vertices(emb, [cfg.v, *others])], others
+    return delete_real_vertices(emb, [cfg.v, *others]), others
 
 
 def _extend_or_die(

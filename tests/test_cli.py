@@ -159,12 +159,27 @@ class TestOtherCommands:
         code, payload, err = run(capsys, "chi", str(p))
         assert code == 0 and payload["chi_o"] == 3
 
-    def test_chi_recursion_error_exits_3(self, tmp_path, capsys):
-        # the exact search takes one frame per vertex
+    def test_chi_long_cycle(self, tmp_path, capsys):
+        # deeper than the default recursion limit
         p = tmp_path / "c1500.graph.json"
         save_graph(cycle(1500), p)
         code, payload, _ = run(capsys, "chi", str(p))
+        assert code == 0 and payload["chi_o"] == 3
+
+    def test_chi_recursion_error_exits_3(self, c4_file, capsys, monkeypatch):
+        def fail(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "chi_o", fail)
+        code, payload, _ = run(capsys, "chi", c4_file)
         assert code == 3 and payload["error"] == "RecursionError" and payload["detail"]
+
+    @pytest.mark.parametrize("argv", [("color", "--engine", "exact"), ("chi",)])
+    def test_exact_invariant_exits_3(self, c4_file, capsys, monkeypatch, argv):
+        # a search that refutes every level up to |G| breaks an invariant
+        monkeypatch.setattr(exact, "exists_odd_k_coloring", lambda g, k, cfg=None: None)
+        code, payload, _ = run(capsys, *argv, c4_file)
+        assert code == 3 and payload["error"] == "EngineInvariantError" and payload["detail"]
 
     def test_chi_inconclusive_exit(self, tmp_path, capsys):
         p = tmp_path / "c5.graph.json"

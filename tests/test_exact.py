@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from conftest import random_graph
+from oddcolor import exact
 from oddcolor.coloring import Coloring, is_odd_coloring
 from oddcolor.exact import (
     INCONCLUSIVE,
@@ -158,3 +159,30 @@ class TestK7StarShape:
 
     def test_star_is_easy(self):
         assert chi_o(star(23)) == 2
+
+
+class TestExplicitStack:
+    @pytest.mark.parametrize("n,want", [(1500, 3), (1501, 4)])
+    def test_long_cycle(self, n, want):
+        # deeper than the default recursion limit: one frame per vertex
+        # would raise RecursionError here
+        assert chi_o(cycle(n)) == want
+
+    def test_k7_star_node_counts(self, monkeypatch):
+        # search nodes per level of the unrelabeled K7*, taken before the
+        # recursion became a stack: same order, same pruning, same nodes
+        counts = []
+
+        class Counted(exact.OddTracker):
+            def assign(self, v, c):
+                counts[-1] += 1
+                super().assign(v, c)
+
+        monkeypatch.setattr(exact, "OddTracker", Counted)
+        g = subdivided_complete(7)
+        verdicts = []
+        for k in range(1, 8):
+            counts.append(0)
+            verdicts.append(exists_odd_k_coloring(g, k))
+        assert counts == [1, 3, 16, 160, 2270, 37631, 45]
+        assert verdicts[:6] == [None] * 6 and is_odd_coloring(g, verdicts[6])

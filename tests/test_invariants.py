@@ -1,4 +1,5 @@
-"""Proof-step and hypothesis checks survive ``python -O``."""
+"""Proof-step and hypothesis checks survive ``python -O``; the engines do
+not recurse."""
 
 import ast
 import os
@@ -18,6 +19,24 @@ def test_no_assert_statements():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_engines_do_not_recurse():
+    # one Python frame per vertex or step overflows the interpreter's stack
+    # on long paths and cycles, so the engines loop on explicit stacks
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name in ("exact.py", "minor_closed.py", "reduction.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(), name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
     ]
     assert found == []
 

@@ -1,13 +1,16 @@
 """Reduction engine: configuration search, surgeries, end-to-end coloring."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
+from oddcolor import reduction
 from oddcolor.coloring import is_odd_coloring
 from oddcolor.embedding import relabel_embedding, underlying_graph, validate
 from oddcolor.exact import chi_o
+from oddcolor.graphs import bridges
 from oddcolor.generators import (
     cycle_embedding,
     figure4_pattern,
@@ -51,7 +54,10 @@ class TestFindReducible:
         assert cfg == SmallPair(0, 1)
 
     def test_k2_bridge(self):
-        assert find_reducible(star_embedding(1)) == Bridge(0, 1)
+        # the edge is a bridge, but Bridge is the last resort
+        emb = star_embedding(1)
+        assert find_reducible(emb) == OddLowVertex(0)
+        check_config(emb, Thresholds(), Bridge(0, 1))
 
     def test_k7_star_small_pair(self):
         emb = k7_star_embedding()
@@ -63,9 +69,11 @@ class TestFindReducible:
         assert {g.degree(cfg.v), g.degree(cfg.w)} == {6, 2}
 
     def test_path_bridge_first(self):
-        from oddcolor.generators import path_embedding
-
-        assert find_reducible(path_embedding(4)) == Bridge(0, 1)
+        emb = path_embedding(4)
+        assert find_reducible(emb) == OddLowVertex(0)
+        # thresholds under which none of the six other configurations
+        # exists leave the first bridge
+        assert find_reducible(emb, Thresholds(K=1, BIG=1)) == Bridge(0, 1)
 
     def test_odd_low_vertex(self):
         # a triangle has odd degree 2? no: all degrees two -- use a wheel-ish
@@ -80,8 +88,8 @@ class TestFindReducible:
         assert find_reducible(emb) == OddLowVertex(0)
 
     def test_two_face_found_when_no_deletion_applies(self):
-        # inject a self-crossing into a big random instance; bridges and
-        # small vertices still take priority, so check the config directly
+        # inject a self-crossing into a big random instance; small
+        # vertices still take priority, so check the config directly
         emb = inject_adjacent_crossing(random_one_plane(12, 0.0, seed=5), 0, 0)
         w = emb.virtual_vertices()[-1]
         cfg = TwoFaceUncross(w)
@@ -225,10 +233,12 @@ class TestEngine:
         assert trace.steps  # the 28-vertex instance must actually reduce
 
     def test_star_23_bridges_to_base(self):
+        # one leaf goes as an odd low vertex, and the other 23 vertices are
+        # a base case
         emb = star_embedding(23)
         c, trace = odd_color_1planar(emb)
         assert is_odd_coloring(underlying_graph(emb), c)
-        assert any(s.tag == "Bridge" for s in trace.steps)
+        assert [s.tag for s in trace.steps] == ["OddLowVertex", "BaseCase"]
 
     def test_trace_strictly_decreases(self):
         emb = random_one_plane(45, 0.7, seed=17)
@@ -284,7 +294,7 @@ class TestEngine:
 # Deeper engine branches
 # ----------------------------------------------------------------------
 #
-# Random corpora resolve through bridges and odd low vertices alone, so the
+# Random corpora resolve through odd low vertices almost alone, so the
 # contraction, two-face and 2-valent-cluster branches of the driver need a
 # purpose-built instance.  An antiprism host (every vertex degree 4) carries
 # "crescent" pairs of 2-vertices whose four edges cross pairwise, one probe
@@ -426,19 +436,31 @@ class TestEngineBranches:
 # engine walks its reductions is free to change; which configuration it
 # picks, the coloring it builds and the trace it reports are not.  Change
 # a digest only with a deliberate change to the engine's choices.
+# The same digests with a bridge picked whenever the instance has one, as
+# the engine once ordered its configurations: no known input reaches Bridge
+# as the last resort, so this keeps its surgery and extension exercised.
+FORCED_BRIDGE_OUTPUTS = {
+    "random_one_plane(100, 0.5, 1717400629)": "7c7528c7110cd82eb33cb93e771423c8ce7981d82f1524446ca30db0f32d4a79",
+    "random_one_plane(100, 0.5, 314395342)": "cedcc42cdbe6da81c99dd5bf39b4637bb0a6cc570d199faece3d5cdd480afc88",
+    "path_crossed_by_second_component": "5b70212ce2b2460aaa568f195be953b9da3b4d37e009c921a5081075b116efc6",
+    "engine_branches(BIG=4)": "61f9ad5054c69b575851072d2865533cc7c8b9488c51d98075cf7cf5cb011deb",
+    "path_embedding(64)": "fd45384b26956a8a3d2525d632353fbd2f2732c97a1b325ea73a987394968423",
+    "star_embedding(63)": "0e0a567b27475a2b8c6636607552c75a84a05384f4d2f000bcc5120b1e4ee5fe",
+}
+
 PINNED_OUTPUTS = {
-    "random_one_plane(100, 0.5, 1717400629)": "7fa583c4169e5537b88e75e24a661fef8860de1c6fb0170dcad2a4ce65fd49f2",
-    "random_one_plane(100, 0.5, 314395342)": "a97315b37d3dc1ea226a4353fe011aa5ed0b432d33a019993377cd229ef50b9c",
-    "path_crossed_by_second_component": "d612e6dc70da99d519527c2173f008cb8f736daad0072b662b2c904c77f46636",
-    "engine_branches(BIG=4)": "be96d3737bbe74b646b4a1cbe3ae3c376b523068b5e1dcdeec9a4504417ca3f3",
-    "k7_star": "b6fa132dee9d01ca06897bb28e2639d345045943604ce48c4231998324f33de2",
-    "path_embedding(64)": "2567ea9ee01162509103b0bc5b49a2a116fad2a6a10d2fe7cf0133bb2bd3bd2b",
-    "cycle_embedding(64)": "fef0c4b8ed43b7aa1273b664523133763a690690ec037cb04ebdabfa8f3e41c0",
-    "star_embedding(63)": "0b223a73db0ac66508f312d3a85dda95ea91172d348b74607553817cd5ecae06",
-    "random_one_plane(40, 0.0, 11)": "b8f299109d30913fa5bed447253933e8b09edb97020749473104ae5a77b8acfb",
-    "random_one_plane(50, 0.5, 12)": "f7b3d9cb82b45066fa1392e7c7f5d4884621004b947e6a0564afa99eed710802",
-    "random_one_plane(60, 1.0, 13)": "8cfb8bad585e01778d4827e31b4cdbe3248eb1e70a59de4997d698e70b3f011b",
-    "random_one_plane(80, 0.5, 14)": "3c125293813a42d0f599670f1c883a5f192ef721e8e53425ca9883a58d5a7fdd",
+    "random_one_plane(100, 0.5, 1717400629)": "38a184e4655bb917408bcc666ad1f4064d44eec4068345bd22277adb8ab6e3de",
+    "random_one_plane(100, 0.5, 314395342)": "95e270a9a733f48219bc813e2d1335b0cebdb897213a9d82e7957d003bb543be",
+    "path_crossed_by_second_component": "c69a2a9708eb81c778423adf9b1b925c578560850af3bb1b78c0cf4e5ada962b",
+    "engine_branches(BIG=4)": "b3dc995de48a2a45be23f89d85ba77003a2e037b333e9541fd59e790d588873f",
+    "k7_star": "6358c5708d1c0c432ee43a51034b2d26cfaf6a2181e1ef55db67eea5bda1f8a0",
+    "path_embedding(64)": "e74f630f3abc7b3ed7ff3fe3e867c8a57ff37d16dc10067e3fb2c0cb3268aa4b",
+    "cycle_embedding(64)": "885b4a06e9d38d3b8a97d43c307005bdb6d8001e68fae81345ba8675fb00014a",
+    "star_embedding(63)": "c86b5f52865543fea7d4dcf94019ecc79a5e2f3b908a776d4a222848b9012632",
+    "random_one_plane(40, 0.0, 11)": "9f35e733e505428d601496322d93e1580467921ac2f6e4ee81c4ec40c43be0a7",
+    "random_one_plane(50, 0.5, 12)": "b49e84f39d112e31db4feaf836b15447adc301f83cb773a7bad4afeb371d20b0",
+    "random_one_plane(60, 1.0, 13)": "9a6b5c45736541285182720b33c1a24caf49c9b7b77b9d51a7a3cc80e93916df",
+    "random_one_plane(80, 0.5, 14)": "8f67a3c788166eb76a33f01cb469677dcf6a54043a49451652cf53a492bd1c86",
 }
 
 
@@ -459,6 +481,7 @@ def _pinned_cases():
 
 def _output_digest(emb, t: Thresholds) -> str:
     c, trace = odd_color_1planar(emb, t)
+    assert is_odd_coloring(underlying_graph(emb), c) and len(c.colors_used()) <= 23
     payload = repr((sorted(c.assign.items()), trace.steps))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -466,3 +489,43 @@ def _output_digest(emb, t: Thresholds) -> str:
 def test_output_pinned():
     got = {name: _output_digest(emb, t) for name, emb, t in _pinned_cases()}
     assert got == PINNED_OUTPUTS
+
+
+def _checked_picks(monkeypatch, force_bridge: bool = False) -> list:
+    """Wrap the engine's configuration search so that every configuration
+    it picks passes check_config, and return the list of picks.  With
+    force_bridge, a bridge is picked whenever the instance has one."""
+    search = reduction.find_reducible
+    picks = []
+
+    def checked(emb, t=Thresholds()):
+        br = bridges(underlying_graph(emb)) if force_bridge else []
+        cfg = Bridge(*br[0]) if br else search(emb, t)
+        check_config(emb, t, cfg)
+        picks.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(reduction, "find_reducible", checked)
+    return picks
+
+
+def test_forced_bridge_pinned(monkeypatch):
+    picks = _checked_picks(monkeypatch, force_bridge=True)
+    got = {}
+    for name, emb, t in _pinned_cases():
+        if name in FORCED_BRIDGE_OUTPUTS:
+            picks.clear()
+            got[name] = _output_digest(emb, t)
+            assert any(isinstance(cfg, Bridge) for cfg in picks), name
+    assert got == FORCED_BRIDGE_OUTPUTS
+
+
+def test_every_pick_passes_check_config(monkeypatch):
+    picks = _checked_picks(monkeypatch)
+    cases = [(emb, t) for _, emb, t in _pinned_cases()]
+    for i, (n, p_cross) in enumerate(itertools.product((50, 100), (0.0, 0.5, 1.0))):
+        cases += [(random_one_plane(n, p_cross, seed=600 + 5 * i + j), Thresholds()) for j in range(5)]
+    for emb, t in cases:
+        c, _ = odd_color_1planar(emb, t)
+        assert is_odd_coloring(underlying_graph(emb), c) and len(c.colors_used()) <= 23
+    assert len(picks) > len(cases)
