@@ -28,9 +28,9 @@ from . import io as formats
 from .coloring import Coloring, is_odd_coloring
 from .embedding import OnePlaneGraph, underlying_graph, validate
 from .exact import INCONCLUSIVE, SearchConfig, chi_o, min_odd_coloring
-from .generators import GENERATORS, gen, random_one_plane
+from .generators import GENERATORS, gen
 from .graphs import Graph, degeneracy_order
-from .minor_closed import odd_color_minor_closed
+from .minor_closed import NotDegenerateError, odd_color_minor_closed
 from .discharging import discharge
 from .reduction import EngineInvariantError, NoConfigFoundError, Thresholds, odd_color_1planar
 
@@ -66,18 +66,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    needs_n = args.name not in ("k7_star_embedding", "figure4_pattern")
-    if needs_n and args.n is None:
-        raise ValueError(f"gen --name {args.name} requires --n")
-    if args.name == "random_one_plane":
-        thing = random_one_plane(args.n, args.p_cross, args.seed)
-    else:
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
-        if args.seed is not None:
-            params["seed"] = args.seed
-        thing = gen(args.name, **params)
+    thing = gen(args.name, **{p: getattr(args, p) for p in GENERATORS[args.name][1]})
     if isinstance(thing, OnePlaneGraph):
         text = formats.embedding_to_text(thing)
         _say(f"embedding: {thing!r}")
@@ -248,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write a named or random instance")
-    g.add_argument("--name", required=True, choices=(*GENERATORS, "random_one_plane"))
+    g.add_argument("--name", required=True, choices=GENERATORS)
     g.add_argument("--n", type=int)
     g.add_argument("--p-cross", type=float, default=0.0, dest="p_cross")
     g.add_argument("--seed", type=int)
@@ -300,13 +289,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "color" and args.engine == "reduction" and args.k < 23:
         parser.error("--engine reduction requires --k >= 23")
-    random_names = ("random_one_plane", "outerplanar", "tree")
-    if args.command == "gen" and args.name in random_names and args.seed is None:
-        parser.error(f"gen --name {args.name} requires --seed")
+    for p in GENERATORS[args.name][1] if args.command == "gen" else ():
+        if getattr(args, p) is None:
+            parser.error(f"gen --name {args.name} requires --{p}")
     try:
         return args.fn(args)
     except SystemExit:
         raise
+    except NotDegenerateError as exc:
+        _emit({"error": type(exc).__name__, "detail": str(exc)})
+        _say(f"not {exc.d}-degenerate: {exc}")
+        return EXIT_NEGATIVE
     except (formats.ParseError, FileNotFoundError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE

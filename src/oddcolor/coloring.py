@@ -55,14 +55,6 @@ class Coloring:
     def colors_used(self) -> set[int]:
         return set(self.assign.values())
 
-    def relabel(self, perm: Mapping[int, int]) -> "Coloring":
-        """Apply a color permutation (must be a bijection of 1..k)."""
-        if sorted(perm) != list(range(1, self.k + 1)) or sorted(
-            perm.values()
-        ) != list(range(1, self.k + 1)):
-            raise ValueError("not a permutation of the palette")
-        return Coloring(self.k, {v: perm[c] for v, c in self.assign.items()})
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Coloring)
@@ -74,24 +66,13 @@ class Coloring:
         return f"Coloring(k={self.k}, assigned={len(self.assign)})"
 
 
-def union(*colorings: Coloring) -> Coloring:
-    """Combine colorings on disjoint vertex sets (same palette)."""
-    ks = {c.k for c in colorings}
-    if len(ks) != 1:
-        raise ValueError("palettes differ")
-    merged: dict[int, int] = {}
-    for c in colorings:
-        for v, col in c.assign.items():
-            if v in merged:
-                raise ValueError(f"vertex {v} colored twice")
-            merged[v] = col
-    return Coloring(ks.pop(), merged)
-
-
 def odd_colors(g: Graph, c: Coloring, v: int) -> set[int]:
     """Colors with odd multiplicity on v's colored neighbors."""
-    counts = Counter(c.assign[u] for u in g.neighbors(v) if u in c.assign)
-    return {col for col, m in counts.items() if m % 2 == 1}
+    odd: set[int] = set()
+    for u in g.neighbors(v):
+        if u in c.assign:
+            odd ^= {c.assign[u]}
+    return odd
 
 
 def tau_o(g: Graph, c: Coloring, v: int) -> int | None:
@@ -106,11 +87,19 @@ def is_odd_coloring(g: Graph, c: Coloring) -> bool:
     has a color of odd multiplicity on its neighborhood.  c must be total."""
     if not c.is_total_on(g):
         raise PartialColoringError("coloring is not total")
-    for u, v in g.edges():
-        if c.assign[u] == c.assign[v]:
-            return False
+    color = c.assign
     for v in g.vertices():
-        if g.degree(v) >= 1 and not odd_colors(g, c, v):
+        own = color[v]
+        odd: set[int] = set()
+        for u in g.neighbors(v):
+            cu = color[u]
+            if cu == own:
+                return False
+            if cu in odd:
+                odd.discard(cu)
+            else:
+                odd.add(cu)
+        if not odd and g.neighbors(v):
             return False
     return True
 

@@ -46,7 +46,6 @@ INCONCLUSIVE = Inconclusive()
 class SearchConfig:
     max_k: int | None = None
     node_limit: int | None = None
-    vertex_order: tuple[int, ...] | None = None  # None = automatic
     forward_check: bool = True
     symmetry_breaking: bool = True
 
@@ -139,10 +138,7 @@ def exists_odd_k_coloring(
         raise ValueError("k must be >= 1")
     if g.n == 0:
         return Coloring(k, {})
-    order = list(cfg.vertex_order) if cfg.vertex_order else auto_order(g)
-    if sorted(order) != g.vertices():
-        raise ValueError("vertex_order must enumerate all vertices")
-    return _search(g, k, order, cfg)
+    return _search(g, k, auto_order(g), cfg)
 
 
 def min_odd_coloring(

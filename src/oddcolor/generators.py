@@ -344,12 +344,11 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
         u, v = segs[i]
         if emb.degree(u) < 3 or emb.degree(v) < 3:
             continue
-        side = {}
-        for f in emb.faces():
-            for d in f.darts:
-                side[d] = f.fid
-        if side[2 * i] == side[2 * i + 1]:
-            continue  # bridge: deleting it would disconnect
+        d = emb.face_next(2 * i)
+        while d != 2 * i and d != 2 * i + 1:
+            d = emb.face_next(d)
+        if d == 2 * i + 1:
+            continue  # bridge: one face on both sides, deleting it would disconnect
         b = EmbeddingBuilder.from_embedding(emb)
         b.delete_edge(i)
         emb = b.build()
@@ -424,30 +423,25 @@ def inject_adjacent_crossing(emb: OnePlaneGraph, v: int, pos: int) -> OnePlaneGr
 # Front door
 # ----------------------------------------------------------------------
 
-GENERATORS = (
-    "cycle", "path", "complete", "star", "subdivided_complete",
-    "k7_star_embedding", "figure4_pattern", "outerplanar", "tree",
-)
+# name -> (function, its parameters in call order); gen fills a missing
+# seed or p_cross with 0, and the CLI requires the flags these name
+GENERATORS = {
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "complete": (complete, ("n",)),
+    "star": (star, ("n",)),
+    "subdivided_complete": (subdivided_complete, ("n",)),
+    "k7_star_embedding": (k7_star_embedding, ()),
+    "figure4_pattern": (figure4_pattern, ()),
+    "outerplanar": (random_outerplanar, ("n", "seed")),
+    "tree": (random_tree, ("n", "seed")),
+    "random_one_plane": (random_one_plane, ("n", "p_cross", "seed")),
+}
 
 
 def gen(name: str, **params) -> Graph | OnePlaneGraph:
     """Named generator dispatch; see GENERATORS for the accepted names."""
-    if name == "cycle":
-        return cycle(params["n"])
-    if name == "path":
-        return path(params["n"])
-    if name == "complete":
-        return complete(params["n"])
-    if name == "star":
-        return star(params["n"])
-    if name == "subdivided_complete":
-        return subdivided_complete(params["n"])
-    if name == "k7_star_embedding":
-        return k7_star_embedding()
-    if name == "figure4_pattern":
-        return figure4_pattern()
-    if name == "outerplanar":
-        return random_outerplanar(params["n"], params.get("seed", 0))
-    if name == "tree":
-        return random_tree(params["n"], params.get("seed", 0))
-    raise ValueError(f"unknown generator {name!r}; choose from {GENERATORS}")
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}; choose from {tuple(GENERATORS)}")
+    fn, names = GENERATORS[name]
+    return fn(*(params[p] if p == "n" else params.get(p, 0) for p in names))

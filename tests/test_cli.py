@@ -47,6 +47,11 @@ class TestGen:
             main(["gen", "--name", "random_one_plane", "--n", "9"])
         assert exc.value.code == 2
 
+    def test_gen_needs_n(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--name", "cycle"])
+        assert exc.value.code == 2
+
     def test_gen_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.empl.json", tmp_path / "b.empl.json"
         run(capsys, "gen", "--name", "random_one_plane", "--n", "15",
@@ -102,6 +107,15 @@ class TestColorVerify:
         monkeypatch.setattr(minor_closed, "smallest_free", lambda banned, k: 1)
         code, payload, _ = run(capsys, "color", "--engine", "minor-closed", "--d", "2", str(p))
         assert code == 3 and payload["error"] == "EngineInvariantError"
+
+    def test_not_degenerate_exits_1(self, tmp_path, capsys):
+        # a valid file whose graph breaks the --d promise is a negative
+        # answer, not a usage error
+        p = tmp_path / "c5.graph.json"
+        save_graph(cycle(5), p)
+        code, payload, _ = run(capsys, "color", "--engine", "minor-closed", "--d", "1", str(p))
+        assert code == 1 and payload["error"] == "NotDegenerateError"
+        assert "exceeds d=1" in payload["detail"]
 
     def test_reduction_requires_embedding(self, c4_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,23 +15,29 @@ from oddcolor.coloring import (
     is_odd_coloring,
     odd_colors,
     tau_o,
-    union,
 )
+from oddcolor.generators import random_outerplanar
 from oddcolor.graphs import Graph, cycle, path
+from oddcolor.minor_closed import odd_color_minor_closed
 
 
-def recount_is_odd(g, c):
-    """Independent from-definition recount."""
+def recount_failure(g, c):
+    """Independent from-definition recount: why c is not an odd coloring
+    of g ("improper" or "no odd color"), or None when it is one."""
     for u, v in g.edges():
         if c.assign[u] == c.assign[v]:
-            return False
+            return "improper"
     for v in g.vertices():
         if g.degree(v) == 0:
             continue
         counts = Counter(c.assign[u] for u in g.neighbors(v))
         if not any(m % 2 for m in counts.values()):
-            return False
-    return True
+            return "no odd color"
+    return None
+
+
+def recount_is_odd(g, c):
+    return recount_failure(g, c) is None
 
 
 class TestIsOddColoring:
@@ -59,8 +65,23 @@ class TestIsOddColoring:
     def test_matches_recount(self, seed):
         rng = random.Random(seed)
         g = random_graph(8, 0.4, seed=seed)
-        c = Coloring(4, {v: rng.randint(1, 4) for v in g.vertices()})
-        assert is_odd_coloring(g, c) == recount_is_odd(g, c)
+        cases = [(g, Coloring(4, {v: rng.randint(1, 4) for v in g.vertices()}))]
+        # an engine's odd coloring of an outerplanar graph with two isolated
+        # vertices, then every way of recoloring one of its vertices
+        h = random_outerplanar(12, seed)
+        h = Graph({**{v: h.neighbors(v) for v in h.vertices()}, 12: (), 13: ()})
+        odd, _ = odd_color_minor_closed(h, 2)
+        cases.append((h, odd))
+        for v in h.vertices():
+            cases += [(h, odd.set(v, col)) for col in range(1, odd.k + 1)]
+        reached = set()
+        for g, c in cases:
+            why = recount_failure(g, c)
+            assert is_odd_coloring(g, c) == (why is None)
+            if why is None and any(g.degree(v) == 0 for v in g.vertices()):
+                why = "isolated vertices exempt"
+            reached.add(why)
+        assert {"improper", "no odd color", "isolated vertices exempt"} <= reached
 
 
 class TestTauO:
@@ -163,23 +184,6 @@ class TestGreedyExtend:
                 assert c.assign.get(u) != got  # proper at v
             for u in before:
                 assert odd_colors(g, c, u), f"killed the odd color of {u}"
-
-
-class TestUnionAndRelabel:
-    def test_union_disjoint(self):
-        a = Coloring(3, {0: 1})
-        b = Coloring(3, {1: 2})
-        assert union(a, b).assign == {0: 1, 1: 2}
-
-    def test_union_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            union(Coloring(3, {0: 1}), Coloring(3, {0: 2}))
-
-    def test_relabel_roundtrip(self):
-        c = Coloring(3, {0: 1, 1: 3})
-        perm = {1: 2, 2: 3, 3: 1}
-        back = {v: k for k, v in perm.items()}
-        assert c.relabel(perm).relabel(back) == c
 
 
 class TestOddTracker:

@@ -132,14 +132,6 @@ class TestConfig:
     def test_max_k_short_circuit(self):
         assert chi_o(cycle(5), SearchConfig(max_k=3)) is INCONCLUSIVE
 
-    def test_given_vertex_order(self):
-        order = tuple(reversed(range(5)))
-        assert chi_o(cycle(5), SearchConfig(vertex_order=order)) == 5
-
-    def test_bad_vertex_order(self):
-        with pytest.raises(ValueError):
-            exists_odd_k_coloring(cycle(5), 3, SearchConfig(vertex_order=(0, 1)))
-
     def test_auto_order_interleaves_high_degree(self):
         g = subdivided_complete(4)
         order = auto_order(g)

@@ -1,5 +1,8 @@
 """Corpus generators: validity, determinism, structure."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from oddcolor.embedding import underlying_graph, validate
@@ -20,11 +23,17 @@ from oddcolor.io import embedding_to_text
 from oddcolor.minor_closed import has_k4_minor
 from oddcolor.reduction import SixFourSwap, Thresholds, find_reducible
 
+GENERATOR_DIGEST = "fbc271a584a8ee967b9529bda4cf5c62182dde294058da41425f982284b291cd"
+
 
 class TestNamedGraphs:
     def test_gen_dispatch(self):
         assert gen("cycle", n=5).num_edges() == 5
         assert gen("subdivided_complete", n=7).n == 28
+        # a missing seed or p_cross is 0
+        assert gen("outerplanar", n=12) == random_outerplanar(12, 0)
+        got = gen("random_one_plane", n=12, seed=3)
+        assert embedding_to_text(got) == embedding_to_text(random_one_plane(12, 0.0, 3))
         with pytest.raises(ValueError):
             gen("banana")
 
@@ -102,6 +111,15 @@ class TestRandomOnePlane:
         for seed in range(5):
             g = underlying_graph(random_one_plane(15, 0.8, seed=seed))
             assert len(connected_components(g)) == 1
+
+    def test_output_pinned(self):
+        # sha256 over embedding_to_text of 72 seeded instances: the
+        # acceptance corpus and the benchmark are defined by seeds, so a
+        # generator change must leave every byte of its output alone
+        h = hashlib.sha256()
+        for n, p_cross, seed in itertools.product((20, 60), (0.0, 0.5, 1.0), range(12)):
+            h.update(embedding_to_text(random_one_plane(n, p_cross, seed=seed)).encode())
+        assert h.hexdigest() == GENERATOR_DIGEST
 
 
 class TestInjectAdjacentCrossing:

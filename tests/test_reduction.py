@@ -240,17 +240,23 @@ class TestEngine:
         assert is_odd_coloring(underlying_graph(emb), c)
         assert [s.tag for s in trace.steps] == ["OddLowVertex", "BaseCase"]
 
-    def test_trace_strictly_decreases(self):
+    def test_trace_strictly_decreases(self, monkeypatch):
+        # (|V|, crossings) falls at every step except Bridge, which deletes
+        # an edge and leaves both numbers as they were
         emb = random_one_plane(45, 0.7, seed=17)
-        _, trace = odd_color_1planar(emb)
-        for s in trace.steps:
-            n0, c0 = s.before
-            if s.tag == "BaseCase":
-                continue
-            if len(s.after) >= 2:
-                assert all(n < n0 for n, _ in s.after)
-            else:
-                for n, c in s.after:
+        for force_bridge in (False, True):
+            if force_bridge:
+                _checked_picks(monkeypatch, force_bridge=True)
+            _, trace = odd_color_1planar(emb)
+            assert force_bridge == any(s.tag == "Bridge" for s in trace.steps)
+            for s in trace.steps:
+                if s.tag == "BaseCase":
+                    continue
+                assert len(s.after) == 1
+                if s.tag == "Bridge":
+                    assert s.after == (s.before,)
+                else:
+                    (n0, c0), ((n, c),) = s.before, s.after
                     assert c < c0 or (c <= c0 and n < n0)
 
     @pytest.mark.parametrize("seed", range(10))
