@@ -1,14 +1,24 @@
 """Complete search for odd k-colorings and the odd chromatic number.
 
-Backtracking on an explicit stack (no Python frame per vertex) over a
-fixed vertex order (highest degree first within a connected traversal),
-with color-symmetry breaking and a parity forward check: after coloring v,
-any vertex u adjacent to v whose neighborhood just became fully colored
-must already see a color an odd number of times -- u's own color can never
+Backtracking on an explicit stack (no Python frame per vertex), with
+color-symmetry breaking and a parity forward check: after coloring v, any
+vertex u adjacent to v whose neighborhood just became fully colored must
+already see a color an odd number of times -- u's own color can never
 repair its neighborhood, so such a branch is dead.
-The subdivided complete graphs die immediately under this check whenever
-two branch vertices share a color, which is what makes the lower-bound
-searches practical.
+
+Each node branches on the uncolored vertex with the smallest domain.  v's
+domain is 1..min(k, max_used + 1) minus the colors on N(v) and, under the
+forward check, minus tau_o(u) for each neighbor u whose only uncolored
+neighbor is v: taking that color would leave u with no odd color.  Ties go
+to the most colored neighbors, then the highest degree, then the lowest
+id; an empty domain backtracks without spending a node.  Only a vertex
+within distance 2 of a colored vertex can have a smaller domain than the
+whole palette (the tau_o bans reach across an uncolored neighbor), so the
+candidates are those vertices, kept incrementally under assign and
+unassign; when there are none (at the start, and after a component is
+finished) the pick is the first uncolored vertex by (-degree, id).  On the
+subdivided complete graphs this finds the pigeonhole clash between branch
+vertices at once, whatever the vertex labels.
 
 Results are three-valued: a witness coloring, None for a completed refutation,
 or INCONCLUSIVE when the node limit was hit before the search finished.
@@ -52,39 +62,79 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_k is not None and self.max_k < 1:
             raise ValueError("max_k must be >= 1")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1")
 
 
-def auto_order(g: Graph) -> list[int]:
-    """Descending-degree order within a connected traversal.
-
-    Start each component at its highest-degree vertex; repeatedly take the
-    highest-degree vertex adjacent to the ordered prefix (lowest id on ties).
-    """
-    remaining = set(g.vertices())
-    order: list[int] = []
-    frontier: set[int] = set()
-    key = lambda v: (-g.degree(v), v)
-    while remaining:
-        v = min(frontier, key=key) if frontier else min(remaining, key=key)
-        order.append(v)
-        remaining.discard(v)
-        frontier.discard(v)
-        frontier |= g.neighbors(v) & remaining
-    return order
-
-
-def _search(
-    g: Graph, k: int, order: list[int], cfg: SearchConfig
-) -> Coloring | None | Inconclusive:
-    n = len(order)
+def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusive:
     tracker = OddTracker(g, k)
+    colored = tracker.color
+    adj = {v: g.neighbors(v) for v in g.vertices()}
+    deg = {v: len(ns) for v, ns in adj.items()}
+    n = g.n
     nodes = 0
     limit = cfg.node_limit
+    # placed[v]: v's colored neighbors.  near[v]: colored vertices within
+    # distance 2 of v, with multiplicity; frontier: the uncolored vertices
+    # with near > 0.  Any other uncolored vertex has the whole palette as its
+    # domain and no colored neighbor, while a nonempty frontier always holds
+    # a vertex with a colored neighbor, which beats it.
+    placed = dict.fromkeys(adj, 0)
+    near = dict.fromkeys(adj, 0)
+    frontier: set[int] = set()
+    by_degree = sorted(adj, key=lambda v: (-deg[v], v))
 
-    def allowed(v: int, max_used: int) -> list[int]:
+    def place(v: int, color: int) -> None:
+        tracker.assign(v, color)
+        frontier.discard(v)
+        for u in adj[v]:
+            placed[u] += 1
+            for w in (u, *adj[u]):
+                near[w] += 1
+                if w not in colored:
+                    frontier.add(w)
+
+    def unplace(v: int) -> None:
+        tracker.unassign(v)
+        for u in adj[v]:
+            placed[u] -= 1
+            for w in (u, *adj[u]):
+                near[w] -= 1
+                if not near[w]:
+                    frontier.discard(w)
+        if near[v]:
+            frontier.add(v)
+
+    def banned(v: int) -> set[int]:
+        # the colors on N(v), and under the forward check the unique odd
+        # color of each neighbor whose last uncolored neighbor is v: v taking
+        # it would leave that neighbor with none.  All are used colors, so
+        # all lie inside the palette of every pick.
+        out = {c for c, m in tracker.neighbor_colors(v).items() if m}
+        if cfg.forward_check:
+            for u in adj[v]:
+                if placed[u] == deg[u] - 1 and tracker.num_odd(u) == 1:
+                    out.add(tracker.tau_o(u))
+        return out
+
+    def pick(max_used: int, start: int) -> tuple[int, list[int], int]:
+        """The uncolored vertex with the smallest domain (then most colored
+        neighbors, highest degree, lowest id), its domain, and a position in
+        by_degree at or before the first uncolored vertex."""
         top = min(k, max_used + 1) if cfg.symmetry_breaking else k
-        banned = {c for c, m in tracker.neighbor_colors(v).items() if m > 0}
-        return [c for c in range(1, top + 1) if c not in banned]
+        if not frontier:
+            # every component is wholly colored or wholly uncolored; the
+            # first uncolored vertex only moves forward as vertices are colored
+            while by_degree[start] in colored:
+                start += 1
+            return by_degree[start], list(range(1, top + 1)), start
+        best = None
+        for v in frontier:
+            out = banned(v)
+            key = (top - len(out), -placed[v], -deg[v], v)
+            if best is None or key < best:
+                best, best_out = key, out
+        return best[3], [c for c in range(1, top + 1) if c not in best_out], start
 
     def consistent_after(v: int) -> bool:
         # a vertex whose whole neighborhood is colored with no odd color is
@@ -99,31 +149,35 @@ def _search(
         return True
 
     witness = None
-    # frame i: the colors left to try at order[i], and the largest color on order[:i]
-    stack = [(iter(allowed(order[0], 0)), 0)]
+    # frame: the branch vertex, the colors left to try on it, the largest
+    # color used before it, and the position pick returned with it
+    v, dom, start = pick(0, 0)
+    stack = [(v, iter(dom), 0, start)]
     while stack:
-        colors, max_used = stack[-1]
-        v = order[len(stack) - 1]
+        v, colors, max_used, start = stack[-1]
         color = next(colors, None)
         if color is None:
             stack.pop()
             if stack:
-                tracker.unassign(order[len(stack) - 1])
+                unplace(stack[-1][0])
             continue
         nodes += 1
         if limit is not None and nodes > limit:
             return INCONCLUSIVE
-        tracker.assign(v, color)
+        place(v, color)
         if consistent_after(v):
-            top = max(max_used, color)
-            if len(stack) < n:
-                stack.append((iter(allowed(order[len(stack)], top)), top))
-                continue
-            c = tracker.as_coloring()
-            if cfg.forward_check or is_odd_coloring(g, c):
-                witness = c
-                break
-        tracker.unassign(v)
+            if len(colored) < n:
+                used = max(max_used, color)
+                u, dom, nxt = pick(used, start)
+                if dom:  # an empty domain is a dead branch, at no node cost
+                    stack.append((u, iter(dom), used, nxt))
+                    continue
+            else:
+                c = tracker.as_coloring()
+                if cfg.forward_check or is_odd_coloring(g, c):
+                    witness = c
+                    break
+        unplace(v)
     if witness is not None and not is_odd_coloring(g, witness):
         raise EngineInvariantError("search returned a non-odd witness")
     return witness
@@ -138,7 +192,7 @@ def exists_odd_k_coloring(
         raise ValueError("k must be >= 1")
     if g.n == 0:
         return Coloring(k, {})
-    return _search(g, k, auto_order(g), cfg)
+    return _search(g, k, cfg)
 
 
 def min_odd_coloring(

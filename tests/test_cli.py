@@ -201,6 +201,12 @@ class TestOtherCommands:
         code, payload, _ = run(capsys, "chi", str(p), "--node-limit", "2")
         assert code == 1 and payload["inconclusive"]
 
+    @pytest.mark.parametrize("argv", [("chi",), ("color", "--engine", "exact")])
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_node_limit_below_one_is_usage_error(self, c4_file, capsys, argv, limit):
+        code, payload, err = run(capsys, *argv, c4_file, "--node-limit", limit)
+        assert code == 2 and payload is None and "node_limit must be >= 1" in err
+
     @pytest.mark.parametrize("argv", [
         ("chi", "--jobs", "2"),
         ("color", "--engine", "exact", "--jobs", "2"),

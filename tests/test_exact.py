@@ -1,19 +1,14 @@
 """Exact solver: oracle values, soundness, pruning and symmetry invariance."""
 
 import itertools
+import random
 
 import pytest
 
 from conftest import random_graph
 from oddcolor import exact
-from oddcolor.coloring import Coloring, is_odd_coloring
-from oddcolor.exact import (
-    INCONCLUSIVE,
-    SearchConfig,
-    auto_order,
-    chi_o,
-    exists_odd_k_coloring,
-)
+from oddcolor.coloring import Coloring, is_odd_coloring, tau_o
+from oddcolor.exact import INCONCLUSIVE, SearchConfig, chi_o, exists_odd_k_coloring
 from oddcolor.graphs import Graph, complete, cycle, path, star, subdivided_complete
 
 NO_PRUNE = SearchConfig(forward_check=False)
@@ -43,6 +38,35 @@ def chi_o_naive(g: Graph) -> int:
             if good:
                 return k
     raise AssertionError("unreachable: rainbow always works")
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Search nodes of each search started after the fixture: one entry per
+    OddTracker, of which every search makes one, counting its assigns."""
+    counts = []
+
+    class Counted(exact.OddTracker):
+        def __init__(self, g, k):
+            super().__init__(g, k)
+            counts.append(0)
+
+        def assign(self, v, c):
+            counts[-1] += 1
+            super().assign(v, c)
+
+    monkeypatch.setattr(exact, "OddTracker", Counted)
+    return counts
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    """g with its vertex ids permuted by a seeded shuffle, the way the
+    exact benchmark builds its reference relabelings."""
+    vs = g.vertices()
+    perm = vs[:]
+    random.Random(seed).shuffle(perm)
+    m = dict(zip(vs, perm))
+    return Graph({m[v]: [m[u] for u in g.neighbors(v)] for v in vs})
 
 
 class TestOracleValues:
@@ -132,14 +156,11 @@ class TestConfig:
     def test_max_k_short_circuit(self):
         assert chi_o(cycle(5), SearchConfig(max_k=3)) is INCONCLUSIVE
 
-    def test_auto_order_interleaves_high_degree(self):
-        g = subdivided_complete(4)
-        order = auto_order(g)
-        assert order[0] == 0  # a branch vertex first
-        # every branch vertex appears as soon as one of its subdivisions does
-        originals = [v for v in order if v < 4]
-        assert originals == [0, 1, 2, 3]
-        assert set(order[:5]) >= {0, 1}
+    @pytest.mark.parametrize("field", ["max_k", "node_limit"])
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_limits_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            SearchConfig(**{field: value})
 
 
 class TestK7StarShape:
@@ -160,21 +181,92 @@ class TestExplicitStack:
         # would raise RecursionError here
         assert chi_o(cycle(n)) == want
 
-    def test_k7_star_node_counts(self, monkeypatch):
-        # search nodes per level of the unrelabeled K7*, taken before the
-        # recursion became a stack: same order, same pruning, same nodes
-        counts = []
-
-        class Counted(exact.OddTracker):
-            def assign(self, v, c):
-                counts[-1] += 1
-                super().assign(v, c)
-
-        monkeypatch.setattr(exact, "OddTracker", Counted)
+    def test_k7_star_node_counts(self, levels):
+        # search nodes per level of the unrelabeled K7*
         g = subdivided_complete(7)
-        verdicts = []
-        for k in range(1, 8):
-            counts.append(0)
-            verdicts.append(exists_odd_k_coloring(g, k))
-        assert counts == [1, 3, 16, 160, 2270, 37631, 45]
+        verdicts = [exists_odd_k_coloring(g, k) for k in range(1, 8)]
+        assert levels == [1, 2, 4, 7, 11, 16, 28]
         assert verdicts[:6] == [None] * 6 and is_odd_coloring(g, verdicts[6])
+
+
+def pendant_cycle(seed: int) -> Graph:
+    """An 80-cycle with 8 pendant leaves at seeded cycle vertices."""
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % 80) for i in range(80)]
+    edges += [(80 + j, rng.randrange(80)) for j in range(8)]
+    return Graph.from_edges(88, edges)
+
+
+def chorded_cycle(seed: int) -> Graph:
+    """A 60-cycle with 4 distinct seeded chords."""
+    rng = random.Random(seed)
+    edges = {(i, (i + 1) % 60) for i in range(60)}
+    chords = 0
+    while chords < 4:
+        a, b = sorted(rng.sample(range(60), 2))
+        if b - a > 1 and (a, b) != (0, 59) and (a, b) not in edges:
+            edges.add((a, b))
+            chords += 1
+    return Graph.from_edges(60, sorted(edges))
+
+
+class TestBranching:
+    @pytest.mark.parametrize("p", [6, 7])
+    def test_label_invariance(self, levels, p):
+        # every reference relabeling is decided, in the same nodes per level
+        cfg = SearchConfig(node_limit=50_000)
+        per_relabeling = set()
+        for seed in range(24):
+            levels.clear()
+            assert chi_o(relabel(subdivided_complete(p), seed), cfg) == p
+            per_relabeling.add(tuple(levels))
+        assert len(per_relabeling) == 1
+
+    @pytest.mark.parametrize(
+        "family,want,static_order_total",
+        [
+            (pendant_cycle, [3] * 15, 4_032),
+            (chorded_cycle, [3, 4, 3, 3, 3, 4, 3, 3, 4, 4, 4, 3, 4, 4, 3], 25_447),
+        ],
+    )
+    def test_sparse_families(self, levels, family, want, static_order_total):
+        # a few high-degree vertices on a long cycle: the former fixed
+        # highest-degree-first order took static_order_total nodes here
+        cfg = SearchConfig(node_limit=50_000)
+        assert [chi_o(family(seed), cfg) for seed in range(15)] == want
+        assert sum(levels) <= static_order_total
+
+    @pytest.mark.parametrize(
+        "cfg", [SearchConfig(), NO_PRUNE, NO_SYM], ids=["default", "no-prune", "no-sym"]
+    )
+    def test_pick_matches_full_scan(self, monkeypatch, cfg):
+        # at every node, the branch vertex is the best of all uncolored
+        # vertices under the domain rule, computed from scratch
+        def full_scan(g, t):
+            c = t.as_coloring()
+            used = max(c.assign.values(), default=0)
+            top = min(t.k, used + 1) if cfg.symmetry_breaking else t.k
+
+            def key(v):
+                banned = {c.assign[u] for u in g.neighbors(v) if u in c}
+                if cfg.forward_check:
+                    for u in g.neighbors(v):
+                        last = all(w in c for w in g.neighbors(u) - {v})
+                        if last and (odd := tau_o(g, c, u)) is not None:
+                            banned.add(odd)
+                placed = sum(1 for u in g.neighbors(v) if u in c)
+                return (len(set(range(1, top + 1)) - banned), -placed, -g.degree(v), v)
+
+            return min((v for v in g.vertices() if v not in c), key=key)
+
+        class Checked(exact.OddTracker):
+            def assign(self, v, color):
+                self.check_against_recompute()
+                assert v == full_scan(self.g, self)
+                super().assign(v, color)
+
+        monkeypatch.setattr(exact, "OddTracker", Checked)
+        for seed in range(30):
+            g = random_graph(3 + seed % 7, 0.15 + 0.05 * (seed % 8), seed=200 + seed)
+            for k in range(1, g.n + 1):
+                exists_odd_k_coloring(g, k, cfg)
