@@ -32,7 +32,7 @@ from .generators import GENERATORS, gen
 from .graphs import Graph, degeneracy_order
 from .minor_closed import NotDegenerateError, odd_color_minor_closed
 from .discharging import discharge
-from .reduction import EngineInvariantError, NoConfigFoundError, Thresholds, odd_color_1planar
+from .reduction import EngineInvariantError, NoConfigFoundError, odd_color_1planar
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,7 +97,7 @@ def _color_reduction(args, thing) -> tuple[Coloring, Graph, dict]:
     if not isinstance(thing, OnePlaneGraph):
         _say("error: the reduction engine needs an embedding file")
         raise SystemExit(EXIT_USAGE)
-    coloring, trace = odd_color_1planar(thing, Thresholds(K=args.k))
+    coloring, trace = odd_color_1planar(thing)
     g = underlying_graph(thing)
     extra = {
         "trace_steps": len(trace.steps),
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("color", help="produce an odd coloring")
     c.add_argument("--engine", required=True, choices=("reduction", "minor-closed", "exact"))
-    c.add_argument("--k", type=int, default=23, help="palette for the reduction engine")
     c.add_argument("--d", type=int, default=2, help="degeneracy for minor-closed")
     c.add_argument("--node-limit", type=int, dest="node_limit")
     c.add_argument("--out")
@@ -287,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "color" and args.engine == "reduction" and args.k < 23:
-        parser.error("--engine reduction requires --k >= 23")
     for p in GENERATORS[args.name][1] if args.command == "gen" else ():
         if getattr(args, p) is None:
             parser.error(f"gen --name {args.name} requires --{p}")

@@ -173,8 +173,8 @@ class OddTracker:
     def num_odd(self, v: int) -> int:
         return self._num_odd[v]
 
-    def neighborhood_complete(self, v: int) -> bool:
-        return self._uncolored_nbrs[v] == 0
+    def uncolored_neighbors(self, v: int) -> int:
+        return self._uncolored_nbrs[v]
 
     def neighbor_colors(self, v: int) -> Counter:
         return self._counts[v]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import Face, OnePlaneGraph, underlying_graph
+from .graphs import Graph
 
 # The paper's thresholds; reduction.Thresholds takes its defaults from here.
 BIG_DEGREE = 12
@@ -198,9 +199,8 @@ def _face_tags(emb: OnePlaneGraph, f: Face, bigs: set[int]) -> tuple[list[str], 
 
 
 def _two_vertex_tags(
-    emb: OnePlaneGraph, v: int, big: int
+    emb: OnePlaneGraph, g: Graph, face_of: dict[int, Face], v: int, big: int
 ) -> tuple[list[str], dict]:
-    g = underlying_graph(emb)
     tags = []
     nbrs = sorted(g.neighbors(v))
     small_nbrs = [u for u in nbrs if g.degree(u) < big]
@@ -209,12 +209,13 @@ def _two_vertex_tags(
     uncrossed = [emb.target(d) for d in emb.rotation(v) if not emb.is_virtual(emb.target(d))]
     if uncrossed:
         tags.append("uncrossed-small-edge")
-    sizes = sorted(f.len for f in emb.faces_at(v))
+    faces = [face_of[d] for d in emb.rotation(v)]
+    sizes = sorted(f.len for f in faces)
     if len(sizes) == 2:
         if not (sizes[1] >= 5 and sizes[0] >= 4):
             tags.append("two-vertex-not-on-5plus-and-4plus-faces")
         elif sizes == [4, 6]:
-            six = [f for f in emb.faces_at(v) if f.len == 6][0]
+            six = [f for f in faces if f.len == 6][0]
             two_on_six = [
                 u
                 for u in {emb.origin(d) for d in six.darts}
@@ -223,7 +224,7 @@ def _two_vertex_tags(
             if len(two_on_six) >= 3:
                 tags.append("six-four-swap-pattern")
         elif sizes[0] == 5 or sizes[1] == 5:
-            for f in emb.faces_at(v):
+            for f in faces:
                 if f.len == 5:
                     two_on_five = {
                         emb.origin(d)
@@ -252,7 +253,9 @@ def audit(
     bigs = _big_vertices(emb, big)
     g = underlying_graph(emb)
     entries: list[AuditEntry] = []
-    faces_by_id = {f.fid: f for f in emb.faces()}
+    faces = emb.faces()
+    faces_by_id = {f.fid: f for f in faces}
+    face_of = {d: f for f in faces for d in f.darts}
     for fid, ch in sorted(cm_star.face.items()):
         if ch >= 0:
             continue
@@ -266,7 +269,7 @@ def audit(
         else:
             d = emb.degree(v)
             if d == 2:
-                tags, witness = _two_vertex_tags(emb, v, big)
+                tags, witness = _two_vertex_tags(emb, g, face_of, v, big)
             elif d % 2 == 1 and d < big:
                 tags, witness = ["odd-low-vertex"], {"degree": d}
             elif d >= big:

@@ -72,10 +72,11 @@ class OnePlaneGraph:
       rot:   vertex id -> cyclic sequence of segment indices (one entry per
              incidence; loops are not representable and are rejected)
 
-    Dart i of segment e is 2e (at edges[e][0]) or 2e+1 (at edges[e][1]).
+    Dart i of segment e is 2e (at edges[e][0]) or 2e+1 (at edges[e][1]),
+    so dart d starts at edges[d >> 1][d & 1].
     """
 
-    __slots__ = ("_kind", "_edges", "_rot", "_origin")
+    __slots__ = ("_kind", "_edges", "_rot")
 
     def __init__(
         self,
@@ -116,14 +117,9 @@ class OnePlaneGraph:
         for e, flags in seen.items():
             if not all(flags):
                 raise InvalidEmbeddingError(f"segment {e} missing from a rotation")
-        origin = {}
-        for v, darts in rot_d.items():
-            for d in darts:
-                origin[d] = v
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_edges", edges_t)
         object.__setattr__(self, "_rot", rot_d)
-        object.__setattr__(self, "_origin", origin)
 
     # -- basic structure -------------------------------------------------
 
@@ -158,17 +154,17 @@ class OnePlaneGraph:
         return list(range(2 * len(self._edges)))
 
     def origin(self, d: int) -> int:
-        return self._origin[d]
+        return self._edges[d >> 1][d & 1]
 
     @staticmethod
     def twin(d: int) -> int:
         return d ^ 1
 
     def target(self, d: int) -> int:
-        return self._origin[d ^ 1]
+        return self._edges[d >> 1][(d & 1) ^ 1]
 
     def rot_next(self, d: int) -> int:
-        r = self._rot[self._origin[d]]
+        r = self._rot[self._edges[d >> 1][d & 1]]
         return r[(r.index(d) + 1) % len(r)]
 
     def face_next(self, d: int) -> int:
@@ -210,14 +206,6 @@ class OnePlaneGraph:
                     break
             out.append(Face(tuple(cyc)))
         return sorted(out, key=lambda f: f.fid)
-
-    def faces_at(self, v: int) -> list[Face]:
-        """Faces incident to v, one per corner, in rotation order."""
-        by_dart = {}
-        for f in self.faces():
-            for d in f.darts:
-                by_dart[d] = f
-        return [by_dart[d] for d in self._rot[v]]
 
     def components(self) -> list[list[int]]:
         """Connected components of the planarization (vertex ids, sorted)."""

@@ -69,17 +69,17 @@ class SearchConfig:
 def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusive:
     tracker = OddTracker(g, k)
     colored = tracker.color
+    uncolored = tracker.uncolored_neighbors
     adj = {v: g.neighbors(v) for v in g.vertices()}
     deg = {v: len(ns) for v, ns in adj.items()}
     n = g.n
     nodes = 0
     limit = cfg.node_limit
-    # placed[v]: v's colored neighbors.  near[v]: colored vertices within
-    # distance 2 of v, with multiplicity; frontier: the uncolored vertices
-    # with near > 0.  Any other uncolored vertex has the whole palette as its
-    # domain and no colored neighbor, while a nonempty frontier always holds
-    # a vertex with a colored neighbor, which beats it.
-    placed = dict.fromkeys(adj, 0)
+    # near[v]: colored vertices within distance 2 of v, with multiplicity;
+    # frontier: the uncolored vertices with near > 0.  Any other uncolored
+    # vertex has the whole palette as its domain and no colored neighbor,
+    # while a nonempty frontier always holds a vertex with a colored
+    # neighbor, which beats it.
     near = dict.fromkeys(adj, 0)
     frontier: set[int] = set()
     by_degree = sorted(adj, key=lambda v: (-deg[v], v))
@@ -88,7 +88,6 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         tracker.assign(v, color)
         frontier.discard(v)
         for u in adj[v]:
-            placed[u] += 1
             for w in (u, *adj[u]):
                 near[w] += 1
                 if w not in colored:
@@ -97,7 +96,6 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
     def unplace(v: int) -> None:
         tracker.unassign(v)
         for u in adj[v]:
-            placed[u] -= 1
             for w in (u, *adj[u]):
                 near[w] -= 1
                 if not near[w]:
@@ -113,7 +111,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         out = {c for c, m in tracker.neighbor_colors(v).items() if m}
         if cfg.forward_check:
             for u in adj[v]:
-                if placed[u] == deg[u] - 1 and tracker.num_odd(u) == 1:
+                if uncolored(u) == 1 and tracker.num_odd(u) == 1:
                     out.add(tracker.tau_o(u))
         return out
 
@@ -131,7 +129,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         best = None
         for v in frontier:
             out = banned(v)
-            key = (top - len(out), -placed[v], -deg[v], v)
+            key = (top - len(out), uncolored(v) - deg[v], -deg[v], v)
             if best is None or key < best:
                 best, best_out = key, out
         return best[3], [c for c in range(1, top + 1) if c not in best_out], start
@@ -141,10 +139,10 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         # beyond repair: its own pending color never enters its neighborhood
         if not cfg.forward_check:
             return True
-        if g.degree(v) > 0 and tracker.neighborhood_complete(v) and tracker.num_odd(v) == 0:
+        if g.degree(v) > 0 and uncolored(v) == 0 and tracker.num_odd(v) == 0:
             return False
         for u in g.neighbors(v):
-            if tracker.neighborhood_complete(u) and tracker.num_odd(u) == 0:
+            if uncolored(u) == 0 and tracker.num_odd(u) == 0:
                 return False
         return True
 

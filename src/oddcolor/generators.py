@@ -1,13 +1,10 @@
 """Named instances and the seeded random 1-plane generator.
 
-Two embeddings come from hand-drawn coordinate tables with exact rational
-arithmetic: the subdivided K7 in its classic drawing (pentagon plus
-pentagram, two outer apexes, every K7 edge crossed at most twice, each
-subdividing vertex placed between the two crossings of its edge) and a
-small instance containing the 6-face/4-face swap pattern.  The drawings
-were checked once by hand; deriving the rotation system from coordinates
-at generation time keeps the tables readable and lets the validator be
-the ground truth.
+Two embeddings are fixed rotation systems written out as tables: the
+subdivided K7 in its classic drawing and a small instance containing the
+6-face/4-face swap pattern.  Each call rebuilds the embedding from its
+table and runs the validator on it, which certifies it as a 1-plane
+drawing.
 
 random_one_plane grows a random plane triangulation by face splitting,
 deletes random non-bridge edges to open up larger faces, then drops at
@@ -18,9 +15,7 @@ from the seed; equal seeds give identical embeddings.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from ._geom import DegenerateDrawingError, Polyline, Pt, param_between, pt, sort_ccw
 from .coloring import EngineInvariantError
 from .embedding import (
     REAL,
@@ -42,212 +37,85 @@ def _checked(emb: OnePlaneGraph) -> OnePlaneGraph:
 
 
 # ----------------------------------------------------------------------
-# Rotation systems from exact drawings
+# Fixed drawings
 # ----------------------------------------------------------------------
 
 
-def embed_drawn_graph(
-    points: dict[int, Pt], routes: dict[tuple[int, int], list[Pt]]
+def _frozen(
+    reals: int,
+    segments: tuple[tuple[int, int], ...],
+    rotations: tuple[tuple[int, ...], ...],
 ) -> OnePlaneGraph:
-    """Embedding of a drawing given by vertex coordinates and polyline
-    routes (intermediate points only).  Every edge may be crossed at most
-    once, crossing edges may not share endpoints, and any non-transversal
-    contact raises DegenerateDrawingError."""
-    lines = {
-        e: Polyline([points[e[0]], *mid, points[e[1]]]) for e, mid in routes.items()
-    }
-    keys = sorted(lines)
-    crossings: dict[tuple[int, int], list] = {}  # edge -> [(param, other, pt)]
-    cross_pts: dict[Pt, tuple] = {}
-    pairs = []
-    for i, e in enumerate(keys):
-        for f in keys[i + 1 :]:
-            hits = lines[e].crossings(lines[f])
-            if not hits:
-                continue
-            if set(e) & set(f):
-                raise DegenerateDrawingError(f"adjacent edges {e} and {f} cross")
-            if len(hits) > 1:
-                raise DegenerateDrawingError(f"edges {e} and {f} cross twice")
-            pe, pf, point = hits[0]
-            if point in cross_pts:
-                raise DegenerateDrawingError(f"triple point at {point}")
-            cross_pts[point] = (e, f)
-            crossings.setdefault(e, []).append((pe, f, point))
-            crossings.setdefault(f, []).append((pf, e, point))
-            pairs.append((e, f, pe, pf, point))
-    for e, hits in crossings.items():
-        if len(hits) > 1:
-            raise DegenerateDrawingError(f"edge {e} crossed more than once")
-
-    next_id = max(points) + 1
-    virtual_of: dict[tuple[int, int], int] = {}
-    for e, f, pe, pf, point in sorted(pairs, key=lambda x: (x[0], x[1])):
-        virtual_of[(e, f)] = next_id
-        next_id += 1
-
-    kinds = {v: REAL for v in points}
-    stubs: dict[int, list] = {v: [] for v in points}
-    pieces: list[tuple[int, int]] = []
-
-    def add_piece(a: int, b: int, dir_a: Pt, dir_b: Pt) -> None:
-        idx = len(pieces)
-        pieces.append((a, b))
-        stubs[a].append((dir_a, idx))
-        stubs[b].append((dir_b, idx))
-
-    for e in keys:
-        line = lines[e]
-        u, v = e
-        hit = crossings.get(e)
-        if not hit:
-            add_piece(
-                u,
-                v,
-                line.direction_after((0, Fraction(0))),
-                line.direction_before((line.nseg - 1, Fraction(1))),
-            )
-            continue
-        pe, other, point = hit[0]
-        pair = (e, other) if (e, other) in virtual_of else (other, e)
-        w = virtual_of[pair]
-        if w not in kinds:
-            kinds[w] = VIRTUAL
-            stubs[w] = []
-        add_piece(u, w, line.direction_after((0, Fraction(0))), line.direction_before(pe))
-        add_piece(
-            w,
-            v,
-            line.direction_after(pe),
-            line.direction_before((line.nseg - 1, Fraction(1))),
-        )
-
-    rot = {v: sort_ccw(sts) for v, sts in stubs.items()}
-    emb = OnePlaneGraph(kinds, pieces, rot)
-    for w in emb.virtual_vertices():
-        e1, e2 = emb.crossing_edges(w)  # raises if rotation fails to alternate
-        if len({*e1, *e2}) != 4:
-            raise DegenerateDrawingError(f"bad crossing at {w}")
-    return emb
+    """The embedding whose segment i joins segments[i] and whose vertex v
+    sees its neighbors in the cyclic order rotations[v]; ids from reals on
+    are crossings.  No two segments join the same pair of vertices, so a
+    neighbor names its segment."""
+    seg = {frozenset(e): i for i, e in enumerate(segments)}
+    kinds = {v: REAL if v < reals else VIRTUAL for v in range(len(rotations))}
+    rot = {v: [seg[frozenset((v, u))] for u in ns] for v, ns in enumerate(rotations)}
+    return _checked(OnePlaneGraph(kinds, segments, rot))
 
 
-# ----------------------------------------------------------------------
-# The subdivided-K7 drawing
-# ----------------------------------------------------------------------
-
-# Pentagon 0..4 counterclockwise, apexes 5 (far north) and 6 (inside the
-# sector between the spokes to 0 and 1).  Pentagram chords cross pairwise;
-# the apex edges add four more crossings, every K7 edge carrying at most two.
-_K7_POINTS: dict[int, Pt] = {
-    0: pt(0, 20),
-    1: pt(-19, 6),
-    2: pt(-12, -16),
-    3: pt(12, -16),
-    4: pt(19, 6),
-    5: pt(0, 100),
-    6: pt(-8, 30),
-}
-
-_K7_ROUTES: dict[tuple[int, int], list[Pt]] = {
-    (0, 1): [], (1, 2): [], (2, 3): [], (3, 4): [], (0, 4): [],
-    (0, 2): [], (1, 3): [], (2, 4): [], (0, 3): [], (1, 4): [],
-    (0, 5): [], (1, 5): [],
-    (2, 5): [pt(-60, 0)],
-    (3, 5): [pt(60, 0)],
-    (4, 5): [],
-    (5, 6): [],
-    (0, 6): [], (1, 6): [],
-    (2, 6): [pt(-22, 14)],
-    (3, 6): [pt(0, -26), pt(-26, -22), pt(-44, -2), pt(-30, 22)],
-    (4, 6): [pt(8, 26)],
-}
+# The subdivided K7.  K7 is drawn as the pentagon 0..4 (counterclockwise)
+# with its pentagram, whose chords cross pairwise, and two apexes: 5 far
+# north, 6 inside the sector between the spokes to 0 and 1.  The apex
+# edges add four more crossings, so each K7 edge is crossed at most twice.
+# The subdividing vertex of K7 edge ij sits between its two crossings (or
+# in its widest crossing-free stretch), so each subdivided edge is crossed
+# at most once.  Ids 7..27 follow subdivided_complete(7); 28..36 are the
+# crossings.
+_K7_STAR_SEGMENTS = (
+    (0, 7), (0, 28), (28, 8), (0, 29), (29, 9), (0, 10), (0, 30), (30, 11),
+    (0, 12), (1, 13), (1, 31), (31, 14), (1, 28), (28, 15), (1, 32), (32, 16),
+    (1, 17), (2, 18), (2, 33), (33, 19), (2, 34), (34, 20), (2, 21), (3, 22),
+    (3, 23), (3, 34), (34, 24), (4, 25), (4, 26), (5, 27), (7, 1), (8, 31),
+    (31, 2), (9, 35), (35, 3), (10, 4), (11, 5), (12, 6), (13, 2), (14, 33),
+    (33, 3), (15, 29), (29, 4), (16, 36), (36, 5), (17, 6), (18, 3), (19, 35),
+    (35, 4), (20, 5), (21, 32), (32, 6), (22, 4), (23, 5), (24, 36), (36, 6),
+    (25, 5), (26, 30), (30, 6), (27, 6),
+)
+_K7_STAR_ROTATIONS = (
+    # the K7 vertices 0..6
+    (30, 12, 7, 28, 29, 10), (28, 7, 17, 32, 13, 31), (18, 33, 31, 13, 21, 34),
+    (23, 22, 35, 33, 18, 34), (25, 26, 10, 29, 35, 22), (20, 36, 27, 11, 25, 23),
+    (27, 36, 32, 17, 12, 30),
+    # the subdividing vertices 7..27
+    (0, 1), (28, 31), (29, 35), (0, 4), (5, 30), (6, 0), (1, 2), (31, 33),
+    (29, 28), (36, 32), (6, 1), (3, 2), (35, 33), (5, 34), (32, 2), (4, 3), (5, 3),
+    (36, 34), (5, 4), (30, 4), (5, 6),
+    # the crossings 28..36
+    (15, 0, 1, 8), (4, 0, 15, 9), (11, 6, 0, 26), (8, 1, 2, 14), (6, 16, 21, 1),
+    (19, 14, 2, 3), (24, 20, 3, 2), (4, 9, 19, 3), (6, 5, 24, 16),
+)
 
 
 def k7_star_embedding() -> OnePlaneGraph:
-    """1-plane embedding of K7 with every edge subdivided once.
-
-    The K7 drawing has each edge crossed at most twice; subdividing
-    vertices go strictly between the two crossings of their edge (or into
-    the widest crossing-free stretch), so each subdivided edge is crossed
-    at most once.  Vertex ids match ``subdivided_complete(7)``.
-    """
-    lines = {e: Polyline([_K7_POINTS[e[0]], *m, _K7_POINTS[e[1]]]) for e, m in _K7_ROUTES.items()}
-    keys = sorted(lines)
-    params: dict[tuple[int, int], list] = {e: [] for e in keys}
-    for i, e in enumerate(keys):
-        for f in keys[i + 1 :]:
-            for pe, pf, _ in lines[e].crossings(lines[f]):
-                params[e].append(pe)
-                params[f].append(pf)
-    points = dict(_K7_POINTS)
-    routes: dict[tuple[int, int], list[Pt]] = {}
-    sub_id = 7
-    for e in sorted(keys):
-        line = lines[e]
-        ps = sorted(params[e])
-        if len(ps) > 2:
-            raise DegenerateDrawingError(f"K7 edge {e} crossed {len(ps)} times")
-        if len(ps) == 2:
-            cut = param_between(ps[0], ps[1])
-        else:
-            ends = [(0, Fraction(0)), *ps, (line.nseg - 1, Fraction(1))]
-            gaps = [
-                (b[0] + b[1] - a[0] - a[1], i)
-                for i, (a, b) in enumerate(zip(ends, ends[1:]))
-            ]
-            _, gi = max(gaps, key=lambda g: (g[0], -g[1]))
-            cut = param_between(ends[gi], ends[gi + 1])
-        first, second = line.split(cut)
-        points[sub_id] = line.point_at(cut)
-        routes[(e[0], sub_id)] = first.points[1:-1]
-        routes[(sub_id, e[1])] = second.points[1:-1]
-        sub_id += 1
-    return _checked(embed_drawn_graph(points, routes))
+    """1-plane embedding of K7 with every edge subdivided once; vertex ids
+    match ``subdivided_complete(7)``."""
+    return _frozen(28, _K7_STAR_SEGMENTS, _K7_STAR_ROTATIONS)
 
 
-# ----------------------------------------------------------------------
-# The swap-pattern instance
-# ----------------------------------------------------------------------
-
-# Three 2-vertices 0 (v), 1 (u), 2 (w) whose six edges are all crossed:
-# 0's edges cross 1's and 2's corridors toward 5, and 1's and 2's second
-# edges cross each other.  The planarization has a 6-face through all
+# The swap-pattern instance.  Three 2-vertices 0 (v), 1 (u), 2 (w) whose six
+# edges are all crossed: 0's edges cross 1's and 2's corridors toward 5 (c),
+# and 1's and 2's second edges, toward 6 (p) and 7 (q), cross each other;
+# 10..12 are the crossings.  The planarization has a 6-face through all
 # three 2-vertices and a 4-face at vertex 0, which is exactly the swap
 # pattern; everything else is built so no higher-priority configuration
 # exists at thresholds (K=7, BIG=4).
-_FIG4_POINTS: dict[int, Pt] = {
-    0: pt(0, 10),   # v
-    1: pt(-4, 10),  # u
-    2: pt(4, 10),   # w
-    3: pt(-8, 2),   # a
-    4: pt(8, 2),    # b
-    5: pt(0, 2),    # c
-    6: pt(4, 17),   # p
-    7: pt(-4, 17),  # q
-    8: pt(-4, -8),
-    9: pt(4, -8),
-}
-
-_FIG4_ROUTES: dict[tuple[int, int], list[Pt]] = {
-    (0, 3): [], (0, 4): [],          # v-a, v-b
-    (1, 5): [], (2, 5): [],          # u-c, w-c
-    (1, 6): [], (2, 7): [],          # u-p, w-q
-    (3, 5): [], (4, 5): [],          # a-c, b-c
-    (5, 8): [], (5, 9): [],
-    (3, 8): [], (4, 9): [],
-    (8, 9): [],
-    (6, 7): [],                      # p-q
-    (3, 7): [pt(-12, 4), pt(-13, 13)],
-    (4, 6): [pt(12, 4), pt(13, 13)],
-    (7, 8): [pt(-16, 12), pt(-15, -6), pt(-8, -11)],
-    (6, 9): [pt(16, 12), pt(15, -6), pt(8, -11)],
-}
-
-FIG4_SWAP_WITNESS = {"u": 1, "w": 2, "v": 0}
+_FIG4_SEGMENTS = (
+    (0, 10), (10, 3), (0, 11), (11, 4), (1, 10), (10, 5), (1, 12), (12, 6),
+    (2, 11), (11, 5), (2, 12), (12, 7), (3, 5), (3, 7), (3, 8), (4, 5), (4, 6),
+    (4, 9), (5, 8), (5, 9), (6, 7), (6, 9), (7, 8), (8, 9),
+)
+_FIG4_ROTATIONS = (
+    (10, 11), (12, 10), (12, 11), (5, 10, 7, 8), (6, 11, 5, 9),
+    (4, 11, 10, 3, 8, 9), (7, 12, 4, 9), (6, 8, 3, 12), (9, 5, 3, 7), (4, 5, 8, 6),
+    (0, 1, 3, 5), (2, 0, 5, 4), (6, 7, 1, 2),
+)
 
 
 def figure4_pattern() -> OnePlaneGraph:
-    return _checked(embed_drawn_graph(_FIG4_POINTS, _FIG4_ROUTES))
+    return _frozen(10, _FIG4_SEGMENTS, _FIG4_ROTATIONS)
 
 
 # ----------------------------------------------------------------------

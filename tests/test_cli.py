@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, pipelines, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from conftest import FROZEN_DIGESTS
 from oddcolor import cli, exact, minor_closed
 from oddcolor.cli import main
 from oddcolor.coloring import Coloring
@@ -59,6 +61,12 @@ class TestGen:
         run(capsys, "gen", "--name", "random_one_plane", "--n", "15",
             "--p-cross", "0.5", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+    def test_gen_frozen_instance_bytes(self, name, capsys):
+        assert main(["gen", "--name", name]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_DIGESTS[name]
 
 
 class TestColorVerify:
@@ -123,8 +131,9 @@ class TestColorVerify:
         assert exc.value.code == 2
 
     def test_reduction_k_floor(self, emb_file, capsys):
+        # the reduction palette is fixed at 23; --k is not an option
         with pytest.raises(SystemExit) as exc:
-            main(["color", "--engine", "reduction", "--k", "22", emb_file])
+            main(["color", "--engine", "reduction", "--k", "23", emb_file])
         assert exc.value.code == 2
 
     def test_reduction_pipeline_reverifies(self, emb_file, tmp_path, capsys):

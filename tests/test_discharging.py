@@ -1,5 +1,6 @@
 """Charging rules: the -8 identity, rule flows, commutation, audit tags."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from oddcolor.generators import (
 )
 
 MINUS_EIGHT = Fraction(-8)
+AUDIT_DIGEST = "ccb18709f1a07c01f2a9e3cfa0a527b3203b6a85948c223a119588341bb6b906"
 
 
 def leafy_cycle(n: int, leaves: dict[int, int]) -> OnePlaneGraph:
@@ -184,6 +186,18 @@ class TestAudit:
         parsed = json.loads(report.to_json())
         assert parsed["clean"] is False
         assert parsed["entries"]
+
+    def test_output_pinned(self):
+        # sha256 over the audit JSON and final charges of 14 instances whose
+        # reports carry every 2-vertex tag
+        h = hashlib.sha256()
+        embs = [random_one_plane(50, p, s) for p in (0, 0.5, 1) for s in range(4)]
+        for emb in [*embs, figure4_pattern(), k7_star_embedding()]:
+            _, cm_star, report = discharge(emb)
+            h.update(report.to_json().encode())
+            h.update(repr(sorted(cm_star.vertex.items())).encode())
+            h.update(repr(sorted(cm_star.face.items())).encode())
+        assert h.hexdigest() == AUDIT_DIGEST
 
     def test_figure4_survives_rules(self):
         emb = figure4_pattern()

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from conftest import FROZEN_DIGESTS
 from oddcolor.embedding import underlying_graph, validate
 from oddcolor.exact import chi_o
 from oddcolor.generators import (
@@ -74,6 +75,13 @@ class TestFigure4:
         emb = figure4_pattern()
         lens = sorted(f.len for f in emb.faces())
         assert 6 in lens and 4 in lens
+
+
+class TestFrozenInstances:
+    @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
+    def test_output_pinned(self, name):
+        text = embedding_to_text(gen(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DIGESTS[name]
 
 
 class TestRandomOnePlane:
