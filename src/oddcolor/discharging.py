@@ -61,10 +61,14 @@ class Transfer:
 
 def initial_charges(emb: OnePlaneGraph) -> ChargeMap:
     """ch(v) = d(v) - 4 and ch(f) = d(f) - 4; the total is exactly -8."""
+    return _initial_charges(emb, emb.faces())
+
+
+def _initial_charges(emb: OnePlaneGraph, faces: list[Face]) -> ChargeMap:
     if len(emb.components()) != 1:
         raise NotConnectedError("planarization is disconnected")
     vertex = {v: Fraction(emb.degree(v) - 4) for v in emb.vertices()}
-    face = {f.fid: Fraction(f.len - 4) for f in emb.faces()}
+    face = {f.fid: Fraction(f.len - 4) for f in faces}
     return ChargeMap(vertex, face)
 
 
@@ -83,9 +87,14 @@ def rule_transfers(
     emb: OnePlaneGraph, big: int = BIG_DEGREE
 ) -> tuple[list[Transfer], list[Transfer], list[Transfer]]:
     """The R1, R2 and R3 movements as three independent transfer lists."""
+    return _rule_transfers(emb, big, emb.faces(), underlying_graph(emb))
+
+
+def _rule_transfers(
+    emb: OnePlaneGraph, big: int, faces: list[Face], g: Graph
+) -> tuple[list[Transfer], list[Transfer], list[Transfer]]:
     two = _two_vertices(emb)
     bigs = _big_vertices(emb, big)
-    faces = emb.faces()
 
     r1: list[Transfer] = []
     for f in faces:
@@ -108,7 +117,6 @@ def rule_transfers(
                 r2.append(Transfer(("vertex", v), ("face", f.fid), Fraction(1, 2)))
 
     r3: list[Transfer] = []
-    g = underlying_graph(emb)
     for v in sorted(bigs):
         for u in sorted(g.neighbors(v)):
             if u in two:
@@ -250,10 +258,19 @@ def audit(
     Each entry names the structural claim its existence violates; on an
     embedding where the reduction engine finds no configuration the report
     must be empty."""
+    return _audit(emb, cm_star, big, palette, emb.faces(), underlying_graph(emb))
+
+
+def _audit(
+    emb: OnePlaneGraph,
+    cm_star: ChargeMap,
+    big: int,
+    palette: int,
+    faces: list[Face],
+    g: Graph,
+) -> AuditReport:
     bigs = _big_vertices(emb, big)
-    g = underlying_graph(emb)
     entries: list[AuditEntry] = []
-    faces = emb.faces()
     faces_by_id = {f.fid: f for f in faces}
     face_of = {d: f for f in faces for d in f.darts}
     for fid, ch in sorted(cm_star.face.items()):
@@ -293,7 +310,11 @@ def audit(
 def discharge(
     emb: OnePlaneGraph, big: int = BIG_DEGREE, palette: int = PALETTE
 ) -> tuple[ChargeMap, ChargeMap, AuditReport]:
-    """Initial charges, final charges, and the audit, in one call."""
-    cm = initial_charges(emb)
-    cm_star = apply_rules(emb, cm, big)
-    return cm, cm_star, audit(emb, cm_star, big, palette)
+    """Initial charges, final charges, and the audit, in one call: one face
+    walk and one underlying graph serve all three."""
+    faces = emb.faces()
+    cm = _initial_charges(emb, faces)
+    g = underlying_graph(emb)
+    r1, r2, r3 = _rule_transfers(emb, big, faces, g)
+    cm_star = apply_transfers(cm, r1 + r2 + r3)
+    return cm, cm_star, _audit(emb, cm_star, big, palette, faces, g)

@@ -10,6 +10,21 @@ random_one_plane grows a random plane triangulation by face splitting,
 deletes random non-bridge edges to open up larger faces, then drops at
 most one pair of crossing chords into big faces.  All randomness comes
 from the seed; equal seeds give identical embeddings.
+
+Each seeded pick is a rank in the canonical order of the embedding that
+``EmbeddingBuilder.build`` would make: a face's rank in fid order, a
+segment's index.  The splits and deletions run on one builder and never
+build it; the ranks come from per-vertex owner counts instead:
+
+  - a segment is owned by its smaller end, and the canonical segment order
+    is (owner, position in the owner's rotation);
+  - a face is owned by its smallest vertex, because its minimum dart lies
+    on a segment that vertex owns.  In a triangulation the faces a vertex
+    owns are its corners whose two sides both lead to larger vertices, and
+    their rotation order is their fid order.
+
+So a pick is a prefix search over the counts (a Fenwick tree) plus one
+scan of the owner's rotation, and the generator runs in near-linear time.
 """
 
 from __future__ import annotations
@@ -173,22 +188,42 @@ def random_outerplanar(n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _random_triangulation(n: int, rng: random.Random) -> OnePlaneGraph:
-    emb = plane_from_rotations(3, {0: [1, 2], 1: [2, 0], 2: [0, 1]})
-    for new in range(3, n):
-        faces = emb.faces()
-        f = faces[rng.randrange(len(faces))]
-        b = EmbeddingBuilder.from_embedding(emb)
-        b.add_vertex(new, REAL)
-        spokes = []
-        for d in f.darts:
-            x = emb.origin(d)
-            e_new = b.new_edge_key(x, new)
-            b.rot[x].insert(b.rot[x].index(d // 2), e_new)
-            spokes.append(e_new)
-        b.rot[new] = spokes[::-1]
-        emb = b.build()
-    return emb
+class _Counts:
+    """Nonnegative per-vertex counts with prefix search (a Fenwick tree)."""
+
+    def __init__(self, n: int) -> None:
+        self._tree = [0] * (n + 1)
+        self._top = 1 << (n.bit_length() - 1)
+
+    def add(self, v: int, delta: int) -> None:
+        i = v + 1
+        while i < len(self._tree):
+            self._tree[i] += delta
+            i += i & -i
+
+    def locate(self, r: int) -> tuple[int, int]:
+        """The vertex v holding rank r of the concatenated counts, and r's
+        rank among v's own: r minus the counts of the vertices below v."""
+        v, step = 0, self._top
+        while step:
+            if v + step < len(self._tree) and self._tree[v + step] <= r:
+                v += step
+                r -= self._tree[v]
+            step >>= 1
+        return v, r
+
+
+def _face(b: EmbeddingBuilder, x: int, e: int):
+    """The darts, as (origin, segment key) pairs, of the face that leaves x
+    along e, in traversal order starting there."""
+    y, f = x, e
+    while True:
+        yield y, f
+        y = b.other_end(f, y)
+        r = b.rot[y]
+        f = r[(r.index(f) + 1) % len(r)]
+        if (y, f) == (x, e):
+            return
 
 
 def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
@@ -204,23 +239,50 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
     if not 0 <= p_cross <= 1:
         raise ValueError("p_cross must be in [0, 1]")
     rng = random.Random(seed)
-    emb = _random_triangulation(n, rng)
+    b = EmbeddingBuilder()
+    for v in range(3):
+        b.add_vertex(v, REAL)
+    b.add_edge(0, 1)
+    b.add_edge(0, 2)
+    b.add_edge(1, 2, 0)
+    owned = _Counts(n)  # faces by smallest vertex; every face is a triangle
+    owned.add(0, 2)
+    for new in range(3, n):
+        u, r = owned.locate(rng.randrange(2 * new - 4))
+        rot = b.rot[u]
+        far = [b.other_end(e, u) for e in rot]
+        # u's owned corners in rotation order are its faces in fid order; the
+        # face's minimum dart enters u along rot[j - 1], or at corner 0 leaves
+        # u along rot[0], the first segment u owns
+        j = [j for j in range(len(rot)) if far[j - 1] > u < far[j]][r]
+        darts = list(_face(b, far[j - 1], rot[j - 1]) if j else _face(b, u, rot[0]))
+        owned.add(u, -1)
+        b.add_vertex(new, REAL)
+        spokes = []
+        for x, e in darts:
+            e_new = b.new_edge_key(x, new)
+            b.rot[x].insert(b.rot[x].index(e), e_new)
+            spokes.append(e_new)
+            owned.add(min(x, b.other_end(e, x)), 1)
+        b.rot[new] = spokes[::-1]
 
+    owned = _Counts(n)  # segments by smaller end, in rotation order there
+    for v in range(n):
+        owned.add(v, sum(1 for e in b.rot[v] if b.other_end(e, v) > v))
+    m = 3 * n - 6
     for _ in range(n):
-        segs = emb.segments()
-        i = rng.randrange(len(segs))
-        u, v = segs[i]
-        if emb.degree(u) < 3 or emb.degree(v) < 3:
+        u, r = owned.locate(rng.randrange(m))
+        e = [e for e in b.rot[u] if b.other_end(e, u) > u][r]
+        v = b.other_end(e, u)
+        if len(b.rot[u]) < 3 or len(b.rot[v]) < 3:
             continue
-        d = emb.face_next(2 * i)
-        while d != 2 * i and d != 2 * i + 1:
-            d = emb.face_next(d)
-        if d == 2 * i + 1:
+        if (v, e) in _face(b, u, e):
             continue  # bridge: one face on both sides, deleting it would disconnect
-        b = EmbeddingBuilder.from_embedding(emb)
-        b.delete_edge(i)
-        emb = b.build()
+        b.delete_edge(e)
+        owned.add(u, -1)
+        m -= 1
 
+    emb = b.build()
     g_edges = {tuple(sorted(e)) for e in emb.segments()}
     big_faces = [f for f in emb.faces() if f.len >= 4]
     b = EmbeddingBuilder.from_embedding(emb)

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FROZEN_DIGESTS
+import oddcolor
 from oddcolor import cli, exact, minor_closed
 from oddcolor.cli import main
 from oddcolor.coloring import Coloring
@@ -67,6 +72,17 @@ class TestGen:
         assert main(["gen", "--name", name]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_DIGESTS[name]
+
+    def test_python_dash_m_runs_the_cli(self):
+        # an uninstalled checkout on PYTHONPATH has the same command line
+        env = dict(os.environ, PYTHONPATH=str(Path(oddcolor.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "oddcolor", "gen", "--name", "k7_star_embedding"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        digest = hashlib.sha256(done.stdout.encode()).hexdigest()
+        assert digest == FROZEN_DIGESTS["k7_star_embedding"]
 
 
 class TestColorVerify:

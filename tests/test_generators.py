@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from conftest import FROZEN_DIGESTS
-from oddcolor.embedding import underlying_graph, validate
+from oddcolor.embedding import EmbeddingBuilder, underlying_graph, validate
 from oddcolor.exact import chi_o
 from oddcolor.generators import (
     GENERATORS,
@@ -25,6 +25,8 @@ from oddcolor.minor_closed import has_k4_minor
 from oddcolor.reduction import SixFourSwap, Thresholds, find_reducible
 
 GENERATOR_DIGEST = "fbc271a584a8ee967b9529bda4cf5c62182dde294058da41425f982284b291cd"
+# the same over n = 100 and 200, the sizes the benchmark draws
+GENERATOR_DIGEST_LARGE = "c7aaf2f936cdf06016ea77dc1cf8e81395c7fca053f115030af322e4dbefee00"
 
 
 class TestNamedGraphs:
@@ -128,6 +130,30 @@ class TestRandomOnePlane:
         for n, p_cross, seed in itertools.product((20, 60), (0.0, 0.5, 1.0), range(12)):
             h.update(embedding_to_text(random_one_plane(n, p_cross, seed=seed)).encode())
         assert h.hexdigest() == GENERATOR_DIGEST
+
+    def test_output_pinned_large(self):
+        h = hashlib.sha256()
+        for n, p_cross, seed in itertools.product((100, 200), (0.0, 0.5, 1.0), range(4)):
+            h.update(embedding_to_text(random_one_plane(n, p_cross, seed=seed)).encode())
+        assert h.hexdigest() == GENERATOR_DIGEST_LARGE
+
+    def test_builds_do_not_grow_with_n(self, monkeypatch):
+        # the picks run on one builder; only the crossing phase and the
+        # result are built, however many vertices and deletions there are
+        calls = []
+        build = EmbeddingBuilder.build
+
+        def counted(self):
+            calls.append(1)
+            return build(self)
+
+        monkeypatch.setattr(EmbeddingBuilder, "build", counted)
+        counts = []
+        for n in (50, 400):
+            calls.clear()
+            random_one_plane(n, 0.5, seed=n)
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
 
 class TestInjectAdjacentCrossing:
