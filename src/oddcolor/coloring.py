@@ -9,8 +9,7 @@ algorithm here only ever need to protect that unique color.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .graphs import Graph
 
@@ -135,40 +134,109 @@ def smallest_free(banned: set[int], k: int) -> int | None:
 
 
 class OddTracker:
-    """Incremental per-vertex color-multiplicity tables.
+    """Per-vertex tables: how many colored neighbors carry each color.
 
-    Mirrors tau_o / odd-color queries under assign/unassign without
-    rescanning neighborhoods; the exact solver drives this thousands of
-    times per search.  ``check_against_recompute`` is the debug mode.
+    ``neighbor_colors(v)[c]`` counts v's colored neighbors of color c (a
+    list over 0..k) and ``num_odd(v)`` the colors of odd count, so tau_o
+    is O(1) unless exactly one color is odd.  With a graph g, the exact
+    solver colors and uncolors g's vertices by assign/unassign, which also
+    count uncolored neighbors (``check_against_recompute`` is the debug
+    mode).  With g None the tables start empty, and the constructive
+    engines unwind their logs by restore, extend and unmerge, passing each
+    vertex's neighbor row instead of a graph.
     """
 
-    def __init__(self, g: Graph, k: int):
+    def __init__(self, g: Graph | None, k: int):
         self.g = g
         self.k = k
         self.color: dict[int, int] = {}
-        self._counts: dict[int, Counter] = {v: Counter() for v in g.vertices()}
-        self._num_odd: dict[int, int] = {v: 0 for v in g.vertices()}
-        self._uncolored_nbrs: dict[int, int] = {
-            v: g.degree(v) for v in g.vertices()
-        }
+        vs = g.vertices() if g is not None else ()
+        self._counts: dict[int, list[int]] = {v: [0] * (k + 1) for v in vs}
+        self._num_odd: dict[int, int] = dict.fromkeys(vs, 0)
+        self._uncolored_nbrs: dict[int, int] = {v: g.degree(v) for v in vs}
 
     def assign(self, v: int, color: int) -> None:
         if v in self.color:
             raise ValueError(f"vertex {v} is already colored")
         self.color[v] = color
+        counts, num_odd, uncolored = self._counts, self._num_odd, self._uncolored_nbrs
         for u in self.g.neighbors(v):
-            cnt = self._counts[u]
+            cnt = counts[u]
             cnt[color] += 1
-            self._num_odd[u] += 1 if cnt[color] % 2 == 1 else -1
-            self._uncolored_nbrs[u] -= 1
+            num_odd[u] += 1 if cnt[color] & 1 else -1
+            uncolored[u] -= 1
 
     def unassign(self, v: int) -> None:
         color = self.color.pop(v)
+        counts, num_odd, uncolored = self._counts, self._num_odd, self._uncolored_nbrs
         for u in self.g.neighbors(v):
-            cnt = self._counts[u]
+            cnt = counts[u]
             cnt[color] -= 1
-            self._num_odd[u] += 1 if cnt[color] % 2 == 1 else -1
-            self._uncolored_nbrs[u] += 1
+            num_odd[u] += 1 if cnt[color] & 1 else -1
+            uncolored[u] += 1
+
+    def restore(self, v: int, row: Iterable[int]) -> None:
+        """Tabulate v from its neighbor row, counting the colored ones; no
+        other table changes."""
+        color = self.color
+        cnt = [0] * (self.k + 1)
+        odd = 0
+        for u in row:
+            cu = color.get(u)
+            if cu is not None:
+                cnt[cu] += 1
+                odd += 1 if cnt[cu] & 1 else -1
+        self._counts[v] = cnt
+        self._num_odd[v] = odd
+
+    def extend(self, v: int, row: Collection[int], extra: Iterable[int] = ()) -> int:
+        """Color v by the rule of ``greedy_extend`` and return the color:
+        the smallest one outside ``extra`` (None there bans nothing), the
+        colors on row and their tau_o.  Every vertex of row is colored."""
+        color, counts, num_odd = self.color, self._counts, self._num_odd
+        cnt = [0] * (self.k + 1)
+        odd = 0
+        banned = set(extra)
+        for u in row:
+            cu = color[u]
+            cnt[cu] += 1
+            odd += 1 if cnt[cu] & 1 else -1
+            banned.add(cu)
+            if num_odd[u] == 1:
+                banned.add(self.tau_o(u))
+        c = smallest_free(banned, self.k)
+        if c is None:
+            raise EngineInvariantError(
+                f"no color free for vertex {v}: the palette of {self.k} is forbidden"
+            )
+        color[v] = c
+        counts[v] = cnt
+        num_odd[v] = odd
+        for u in row:
+            tu = counts[u]
+            tu[c] += 1
+            num_odd[u] += 1 if tu[c] & 1 else -1
+        return c
+
+    def unmerge(self, x: int, y: int, row: Collection[int], gained: Iterable[int]) -> None:
+        """Undo the merge of x into y: y loses the neighbors it gained, x is
+        colored by ``extend`` over its row, and y's color must occur
+        exactly once on N(x), which keeps x's neighborhood odd."""
+        color, counts, num_odd = self.color, self._counts, self._num_odd
+        cy = color[y]
+        ty = counts[y]
+        for w in gained:
+            cw = color[w]
+            ty[cw] -= 1
+            num_odd[y] += 1 if ty[cw] & 1 else -1
+            tw = counts[w]
+            tw[cy] -= 1
+            num_odd[w] += 1 if tw[cy] & 1 else -1
+        self.extend(x, row)
+        if counts[x][cy] != 1:
+            raise EngineInvariantError(
+                f"color of {y} appears {counts[x][cy]} times on N({x})"
+            )
 
     def num_odd(self, v: int) -> int:
         return self._num_odd[v]
@@ -176,15 +244,18 @@ class OddTracker:
     def uncolored_neighbors(self, v: int) -> int:
         return self._uncolored_nbrs[v]
 
-    def neighbor_colors(self, v: int) -> Counter:
+    def neighbor_colors(self, v: int) -> list[int]:
         return self._counts[v]
+
+    def odd_colors(self, v: int) -> set[int]:
+        return {c for c, m in enumerate(self._counts[v]) if m & 1}
 
     def tau_o(self, v: int) -> int | None:
         if self._num_odd[v] != 1:
             return None
-        for col, m in self._counts[v].items():
-            if m % 2 == 1:
-                return col
+        for c, m in enumerate(self._counts[v]):
+            if m & 1:
+                return c
         raise EngineInvariantError("odd count desynchronized")
 
     def as_coloring(self) -> Coloring:
@@ -193,16 +264,14 @@ class OddTracker:
     def check_against_recompute(self) -> None:
         """Full recomputation cross-check of every incremental table;
         raises EngineInvariantError on the first mismatch."""
-        c = self.as_coloring()
+        color = self.color
         for v in self.g.vertices():
-            fresh = Counter(
-                c.assign[u] for u in self.g.neighbors(v) if u in c.assign
-            )
-            if fresh != +self._counts[v]:
+            fresh = [0] * (self.k + 1)  # slot 0 counts the uncolored
+            for u in self.g.neighbors(v):
+                fresh[color.get(u, 0)] += 1
+            if fresh[1:] != self._counts[v][1:]:
                 raise EngineInvariantError(f"counts differ at {v}")
-            if self._num_odd[v] != sum(1 for m in fresh.values() if m % 2 == 1):
+            if self._num_odd[v] != sum(m & 1 for m in fresh[1:]):
                 raise EngineInvariantError(f"odd count differs at {v}")
-            if self._uncolored_nbrs[v] != sum(
-                1 for u in self.g.neighbors(v) if u not in c.assign
-            ):
+            if self._uncolored_nbrs[v] != fresh[0]:
                 raise EngineInvariantError(f"uncolored count differs at {v}")

@@ -108,7 +108,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         # color of each neighbor whose last uncolored neighbor is v: v taking
         # it would leave that neighbor with none.  All are used colors, so
         # all lie inside the palette of every pick.
-        out = {c for c, m in tracker.neighbor_colors(v).items() if m}
+        out = {c for c, m in enumerate(tracker.neighbor_colors(v)) if m}
         if cfg.forward_check:
             for u in adj[v]:
                 if uncolored(u) == 1 and tracker.num_odd(u) == 1:

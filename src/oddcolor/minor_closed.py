@@ -11,11 +11,12 @@ extension step.
 Each component is contracted on one mutable adjacency.  The vertex x of
 least (degree, id) comes from a lazy heap, merges into its lowest-id
 neighbor y in O(d), and the merge goes on an undo log as (x, y, N(x), the
-neighbors y gained).  The unwind walks the log backwards and keeps, per
-vertex, a table of how many neighbors carry each color: undoing a merge
-takes y's gained edges out of the tables, and a neighbor's unique odd
-color is read off its table in O(k).  The graph itself is never rebuilt,
-so a component costs O(n*d^2 + m log n) time and O(n*d + m) memory.
+neighbors y gained).  The unwind walks the log backwards on one
+``OddTracker``, whose per-vertex tables count how many neighbors carry
+each color: ``unmerge`` takes y's gained edges out of the tables, colors
+x greedily and checks y's color on N(x), one call per record.  The graph
+itself is never rebuilt, so a component costs O(n*d*k + m log n) time and
+O(n*k + m) memory.
 
 Family membership is not verified structurally.  What the procedure
 actually consumes is that every contraction result still has a vertex of
@@ -27,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .coloring import Coloring, EngineInvariantError, is_odd_coloring, smallest_free
+from .coloring import Coloring, EngineInvariantError, OddTracker, is_odd_coloring
 from .graphs import Graph, connected_components, pop_min_degree
 
 
@@ -61,19 +62,18 @@ def odd_color_minor_closed(
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    k = 2 * d + 1
-    color: dict[int, int] = {}
-    traces = [_color_component(g, comp, d, k, color) for comp in connected_components(g)]
-    c = Coloring(k, color)
+    tracker = OddTracker(None, 2 * d + 1)
+    traces = [_color_component(g, comp, d, tracker) for comp in connected_components(g)]
+    c = tracker.as_coloring()
     if not is_odd_coloring(g, c):
         raise EngineInvariantError("engine emitted a non-odd coloring")
     return c, traces
 
 
 def _color_component(
-    g: Graph, comp: list[int], d: int, k: int, color: dict[int, int]
+    g: Graph, comp: list[int], d: int, tracker: OddTracker
 ) -> ContractionTrace:
-    """Color the connected component ``comp`` of g into ``color``."""
+    """Color the connected component ``comp`` of g into ``tracker``."""
     trace = ContractionTrace()
     adj = {v: set(g.neighbors(v)) for v in comp}
     heap = [(len(ns), v) for v, ns in adj.items()]
@@ -103,34 +103,9 @@ def _color_component(
         log.append((x, y, nx, gained))
         trace.steps.append((x, y))
     (trace.base,) = adj
-    color[trace.base] = 1
-    # counts[v][c]: neighbors of v colored c, on the graph unwound so far
-    counts = {trace.base: [0] * (k + 1)}
+    tracker.extend(trace.base, ())
     for x, y, nx, gained in reversed(log):
-        for w in gained:
-            counts[y][color[w]] -= 1
-            counts[w][color[y]] -= 1
-        counts[x] = cx = [0] * (k + 1)
-        banned = set()
-        for u in nx:
-            cx[color[u]] += 1
-            banned.add(color[u])
-            odd = [col for col, m in enumerate(counts[u]) if m % 2]
-            if len(odd) == 1:
-                banned.add(odd[0])
-        c = smallest_free(banned, k)
-        if c is None:
-            raise EngineInvariantError(
-                f"no color free for vertex {x}: degeneracy bound violated"
-            )
-        color[x] = c
-        for u in nx:
-            counts[u][c] += 1
-        # the kept endpoint's color occurs exactly once on x's neighborhood
-        if cx[color[y]] != 1:
-            raise EngineInvariantError(
-                f"color of {y} appears {cx[color[y]]} times on N({x})"
-            )
+        tracker.unmerge(x, y, nx, gained)
     return trace
 
 

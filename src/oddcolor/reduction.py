@@ -6,8 +6,12 @@ turns the instance into exactly one smaller instance (or one better
 drawing), logging each shrinking step, until every remaining instance is
 small enough to color with distinct colors.  Only splitting an instance
 into the components of its planarization makes several.  It then replays
-the log last-in-first-out, extending one coloring back over each step.
-The fixed priority matters where a later configuration is only correct
+the log last-in-first-out, extending one coloring back over each step.  A
+record keeps the neighbor rows of the vertices its step removed (and the
+neighbors a contraction's kept end gained); only Bridge keeps its graph.
+The replay reads tau_o off one ``OddTracker``, whose tables describe the
+graph each record's step left: pending instances are vertex-disjoint, and
+no underlying edge joins two planarization components.  The fixed priority matters where a later configuration is only correct
 once an earlier one is absent: handling a vertex with 2-valent neighbors
 assumes no two small vertices are adjacent, so each 2-valent neighbor's
 other endpoint is big and survives the deletion.
@@ -45,14 +49,7 @@ from dataclasses import astuple, dataclass, field
 from typing import Union
 
 from . import discharging
-from .coloring import (
-    Coloring,
-    EngineInvariantError,
-    greedy_extend,
-    is_odd_coloring,
-    odd_colors,
-    tau_o,
-)
+from .coloring import Coloring, EngineInvariantError, OddTracker, is_odd_coloring
 from .embedding import (
     EmbeddingBuilder,
     InvalidEmbeddingError,
@@ -443,11 +440,10 @@ def odd_color_1planar(
     if bad:
         raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
     trace = ReductionTrace()
-    c = Coloring(t.K)
-    # pending instances have disjoint vertex sets, so when a record is
-    # replayed its graph is colored everywhere except where it extends
-    for cfg, g, aux in reversed(_reduce(emb, t, trace, c)):
-        _extend(cfg, g, aux, c)
+    tracker = OddTracker(None, t.K)
+    for cfg, row, aux in reversed(_reduce(emb, t, trace, tracker)):
+        _extend(cfg, row, aux, tracker)
+    c = tracker.as_coloring()
     g = underlying_graph(emb)
     if g.n and not is_odd_coloring(g, c):
         raise EngineInvariantError("engine emitted a non-odd coloring")
@@ -455,11 +451,12 @@ def odd_color_1planar(
 
 
 def _reduce(
-    emb: OnePlaneGraph, t: Thresholds, trace: ReductionTrace, c: Coloring
-) -> list[tuple[ReducibleConfig, Graph, object]]:
-    """Reduce every instance to a base case, writing base-case colors into
-    c, and return the log of shrinking steps in the order they ran.  The
-    pending stack is last-in-first-out, so the trace is depth-first."""
+    emb: OnePlaneGraph, t: Thresholds, trace: ReductionTrace, tracker: OddTracker
+) -> list[tuple[ReducibleConfig, object, object]]:
+    """Reduce every instance to a base case, coloring and tabulating its
+    vertices in tracker, and return the log of shrinking steps in the order
+    they ran.  The pending stack is last-in-first-out, so the trace is
+    depth-first."""
     log = []
     pending = [emb]
     while pending:
@@ -472,7 +469,9 @@ def _reduce(
         before = _metrics(emb)
         if g.n <= t.K:
             trace.record("BaseCase", (g.n,), before, [])
-            c.assign.update((v, i + 1) for i, v in enumerate(g.vertices()))
+            tracker.color.update((v, i + 1) for i, v in enumerate(g.vertices()))
+            for v in g.vertices():
+                tracker.restore(v, g.neighbors(v))
             continue
         cfg = find_reducible(emb, t)
         if isinstance(cfg, TwoFaceUncross):
@@ -480,8 +479,8 @@ def _reduce(
         elif isinstance(cfg, SixFourSwap):
             emb = uncross_six_four(emb, cfg)
         else:
-            emb, aux = _shrink(emb, g, cfg)
-            log.append((cfg, g, aux))
+            emb, row, aux = _shrink(emb, g, cfg)
+            log.append((cfg, row, aux))
         trace.record(type(cfg).__name__, astuple(cfg), before, [_metrics(emb)])
         pending.append(emb)
     return log
@@ -489,26 +488,29 @@ def _reduce(
 
 def _shrink(
     emb: OnePlaneGraph, g: Graph, cfg: ReducibleConfig
-) -> tuple[OnePlaneGraph, object]:
-    """The smaller instance a shrinking configuration leaves, and what its
-    extension needs beyond g: x's side of a bridge, or each 2-valent
-    neighbor of a D2Vertex mapped to its other end."""
+) -> tuple[OnePlaneGraph, object, object]:
+    """The smaller instance a shrinking configuration leaves, and the log
+    record's row and aux: the neighbor rows in g of the vertices it removes
+    (less those it colors later), plus what the extension needs beyond
+    them.  Only Bridge keeps g, with x's side as aux."""
     if isinstance(cfg, Bridge):
         side_x = next(
             side
             for side in connected_components(g.delete_edge(cfg.x, cfg.y))
             if cfg.x in side
         )
-        return delete_g_edge(emb, cfg.x, cfg.y), side_x
+        return delete_g_edge(emb, cfg.x, cfg.y), g, side_x
     if isinstance(cfg, OddLowVertex):
-        return delete_real_vertices(emb, [cfg.v]), None
+        return delete_real_vertices(emb, [cfg.v]), g.neighbors(cfg.v), None
     if isinstance(cfg, SmallPair):
-        return delete_real_vertices(emb, [cfg.v, cfg.w]), None
+        v, w = cfg.v, cfg.w
+        return delete_real_vertices(emb, [v, w]), g.neighbors(v) - {w}, g.neighbors(w)
     if isinstance(cfg, UncrossedSmallEdge):
         x, y = cfg.x, cfg.y
         for z in sorted(g.neighbors(x) & g.neighbors(y)):
             emb = delete_g_edge(emb, x, z)
-        return contract_uncrossed_edge(emb, x, y), None
+        gained = g.neighbors(x) - g.neighbors(y) - {y}
+        return contract_uncrossed_edge(emb, x, y), g.neighbors(x), gained
     # D2Vertex
     others = {}
     for u in sorted(u for u in g.neighbors(cfg.v) if g.degree(u) == 2):
@@ -516,44 +518,29 @@ def _shrink(
         if g.degree(other) == 2:
             raise EngineInvariantError(f"2-vertex {u} lacks a surviving big neighbor")
         others[u] = other
-    return delete_real_vertices(emb, [cfg.v, *others]), others
+    row = g.neighbors(cfg.v) - others.keys()
+    return delete_real_vertices(emb, [cfg.v, *others]), row, others
 
 
-def _extend_or_die(
-    g: Graph, c: Coloring, v: int, extra=(), why: str = ""
-) -> None:
-    color = greedy_extend(g, c, v, extra)
-    if color is None:
-        raise EngineInvariantError(
-            f"greedy extension failed at vertex {v} ({why}); "
-            f"forbidden covers the whole palette of {c.k}"
-        )
-    c.assign[v] = color
-
-
-def _extend(cfg: ReducibleConfig, g: Graph, aux, c: Coloring) -> None:
-    """Extend c, total on what cfg's reduction left of g, over all of g."""
+def _extend(cfg: ReducibleConfig, row, aux, tracker: OddTracker) -> None:
+    """Extend the coloring over the vertices one log record removed, taking
+    the tables from the graph the step left to the step's graph."""
     if isinstance(cfg, Bridge):
-        _anchor_bridge(g, c, cfg.x, cfg.y, aux)
+        _anchor_bridge(row, tracker, cfg.x, cfg.y, aux)
     elif isinstance(cfg, OddLowVertex):
-        _extend_or_die(g, c, cfg.v, why="odd low vertex")
+        tracker.extend(cfg.v, row)
     elif isinstance(cfg, SmallPair):
+        # row: N(v) less w; aux: N(w), tabulated while v is uncolored
         v, w = cfg.v, cfg.w
-        tw = tau_o(g, c, w)
-        _extend_or_die(g, c, v, {tw} if tw is not None else (), "small pair v")
-        tv = tau_o(g, c, v)
-        _extend_or_die(g, c, w, {tv} if tv is not None else (), "small pair w")
+        tracker.restore(w, aux)
+        tracker.extend(v, row, [tracker.tau_o(w)])
+        tracker.extend(w, aux, [tracker.tau_o(v)])
     elif isinstance(cfg, UncrossedSmallEdge):
-        x, y = cfg.x, cfg.y
-        _extend_or_die(g, c, x, why="uncrossed small edge")
-        kept = sum(1 for u in g.neighbors(x) if c.assign[u] == c.assign[y])
-        if kept != 1:
-            raise EngineInvariantError(f"color of {y} appears {kept} times on N({x})")
-    else:  # D2Vertex
-        extra = {c.assign[x] for x in aux.values()}
-        _extend_or_die(g, c, cfg.v, extra, "d2 vertex")
-        for u in aux:
-            _extend_or_die(g, c, u, why="d2 pendant 2-vertex")
+        tracker.unmerge(cfg.x, cfg.y, row, aux)
+    else:  # D2Vertex: v first, avoiding the 2-vertices' other ends
+        tracker.extend(cfg.v, row, [tracker.color[x] for x in aux.values()])
+        for u, other in aux.items():
+            tracker.extend(u, (cfg.v, other))
 
 
 def _anchor_permutation(
@@ -568,35 +555,33 @@ def _anchor_permutation(
     return perm
 
 
-def _odd_on_side(g: Graph, c: Coloring, end: int, far: int) -> set[int]:
-    """Odd colors on end's neighbors other than far, the bridge's other end
-    (far's color toggles the parity of exactly one color)."""
-    return odd_colors(g, c, end) ^ {c.assign[far]}
-
-
-def _anchor_bridge(g: Graph, c: Coloring, x: int, y: int, side_x: set[int]) -> None:
+def _anchor_bridge(
+    g: Graph, tracker: OddTracker, x: int, y: int, side_x: set[int]
+) -> None:
     """Permute the colors of each side of the bridge xy so x gets 1 and y
     gets 3 and, when an endpoint keeps neighbors on its side, one of its
-    odd colors there becomes 2 (at x) or 4 (at y)."""
+    odd colors there becomes 2 (at x) or 4 (at y).  The tables come in on
+    g minus xy and leave rebuilt on g."""
+    color = tracker.color
     side_y = set(g.vertices()).difference(side_x)
-    for end, far, side, color_anchor, odd_anchor in (
-        (x, y, side_x, 1, 2),
-        (y, x, side_y, 3, 4),
-    ):
-        fixed = {c.assign[end]: color_anchor}
+    for end, side, color_anchor, odd_anchor in ((x, side_x, 1, 2), (y, side_y, 3, 4)):
+        fixed = {color[end]: color_anchor}
         if g.degree(end) > 1:
-            odd = _odd_on_side(g, c, end, far)
+            odd = tracker.odd_colors(end)
             if not odd:
                 raise EngineInvariantError(
                     f"side coloring is not odd at bridge endpoint {end}"
                 )
             fixed.setdefault(min(odd), odd_anchor)
-        perm = _anchor_permutation(c.k, fixed)
+        perm = _anchor_permutation(tracker.k, fixed)
         for v in side:
-            c.assign[v] = perm[c.assign[v]]
-    # the literal proof-step check: color 2 is odd on N(x) minus y, 4 on N(y) minus x
+            color[v] = perm[color[v]]
+    for v in g.vertices():
+        tracker.restore(v, g.neighbors(v))
+    # the literal proof-step check: color 2 is odd on N(x) minus y, 4 on
+    # N(y) minus x (the far end's color toggles the parity of one color)
     for end, far, odd_anchor in ((x, y, 2), (y, x, 4)):
-        if g.degree(end) > 1 and odd_anchor not in _odd_on_side(g, c, end, far):
+        if g.degree(end) > 1 and odd_anchor not in tracker.odd_colors(end) ^ {color[far]}:
             raise EngineInvariantError(
                 f"color {odd_anchor} is not odd at bridge endpoint {end}"
             )

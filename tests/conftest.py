@@ -16,3 +16,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
+    """Each given vertex of g (default: all) has the color counts and odd
+    count that a recount over its colored neighbors in g gives."""
+    for v in g.vertices() if vertices is None else vertices:
+        want = [0] * (tracker.k + 1)
+        for u in g.neighbors(v):
+            if u in tracker.color:
+                want[tracker.color[u]] += 1
+        assert tracker.neighbor_colors(v) == want, v
+        assert tracker.num_odd(v) == sum(m % 2 for m in want), v

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FROZEN_DIGESTS
 import oddcolor
-from oddcolor import cli, exact, minor_closed
+from oddcolor import cli, coloring, exact
 from oddcolor.cli import main
 from oddcolor.coloring import Coloring
 from oddcolor.discharging import discharge
@@ -128,7 +128,7 @@ class TestColorVerify:
     def test_minor_closed_invariant_exits_3(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "c5.graph.json"
         save_graph(cycle(5), p)
-        monkeypatch.setattr(minor_closed, "smallest_free", lambda banned, k: 1)
+        monkeypatch.setattr(coloring, "smallest_free", lambda banned, k: 1)
         code, payload, _ = run(capsys, "color", "--engine", "minor-closed", "--d", "2", str(p))
         assert code == 3 and payload["error"] == "EngineInvariantError"
 

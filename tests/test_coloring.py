@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_graph
+from conftest import assert_tables_recount, random_graph
 from oddcolor.coloring import (
     Coloring,
+    EngineInvariantError,
     OddTracker,
     PartialColoringError,
     forbidden_set,
@@ -207,3 +208,29 @@ class TestOddTracker:
             tr.check_against_recompute()
             for v in g.vertices():
                 assert tr.tau_o(v) == tau_o(g, tr.as_coloring(), v)
+
+    def test_extend_matches_greedy_extend(self):
+        # the unwind's greedy rule against the stateless one, on tables
+        # restored from a random partial coloring
+        outcomes = set()
+        for seed in range(200):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(1, 12), rng.choice([0.2, 0.4, 0.7]), seed=900 + seed)
+            k = rng.randint(1, 6)
+            c = Coloring(k, {v: rng.randint(1, k) for v in g.vertices() if rng.random() < 0.6})
+            for v in (v for v in g.vertices() if v not in c):
+                extra = set(rng.sample(range(1, k + 1), rng.randint(0, k)))
+                tr = OddTracker(None, k)
+                tr.color.update(c.assign)
+                for u in g.vertices():
+                    tr.restore(u, g.neighbors(u))
+                want = greedy_extend(g, c, v, extra)
+                row = [u for u in g.neighbors(v) if u in c]
+                outcomes.add(want is None)
+                if want is None:
+                    with pytest.raises(EngineInvariantError):
+                        tr.extend(v, row, extra)
+                    continue
+                assert tr.extend(v, row, extra) == want
+                assert_tables_recount(tr, g, [*c.assign, v])
+        assert outcomes == {True, False}

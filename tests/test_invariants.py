@@ -1,7 +1,8 @@
 """Proof-step and hypothesis checks survive ``python -O``; the engines do
-not recurse."""
+not recurse; every name the benchmark traces exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +59,21 @@ def test_check_config_raises_under_optimize():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "raised\n"
+
+
+def test_bench_traced_names_exist():
+    # the benchmark's tracer exits on a name it cannot wrap, so a public
+    # name it traces must not go without the benchmark changing with it
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module, public, _ in tracer.SPANS + tracer.COUNTS:
+        owner = importlib.import_module(f"oddcolor.{module}")
+        *owners, attr = public.split(".")
+        for part in owners:
+            owner = getattr(owner, part, None)
+        if not callable(vars(owner).get(attr) if owner is not None else None):
+            missing.append(f"{module}.{public}")
+    assert missing == []

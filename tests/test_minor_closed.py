@@ -12,9 +12,9 @@ import pytest
 
 import oddcolor
 
-from conftest import random_graph
-from oddcolor import minor_closed
-from oddcolor.coloring import EngineInvariantError, is_odd_coloring
+from conftest import assert_tables_recount, random_graph
+from oddcolor import coloring, minor_closed
+from oddcolor.coloring import EngineInvariantError, OddTracker, is_odd_coloring
 from oddcolor.graphs import Graph, complete, connected_components, cycle, path, star
 from oddcolor.generators import random_outerplanar, random_tree
 from oddcolor.minor_closed import (
@@ -105,7 +105,7 @@ class TestAlgorithm:
     def test_broken_extension_raises(self, monkeypatch):
         # every vertex gets color 1, so the kept endpoint's color shows up
         # twice on a 2-vertex's neighborhood; the check must survive -O
-        monkeypatch.setattr(minor_closed, "smallest_free", lambda banned, k: 1)
+        monkeypatch.setattr(coloring, "smallest_free", lambda banned, k: 1)
         with pytest.raises(EngineInvariantError, match="appears 2 times"):
             odd_color_minor_closed(cycle(5), 2)
 
@@ -118,6 +118,31 @@ class TestAlgorithm:
             assert cur.has_edge(x, y)
             cur, _ = cur.contract(x, y)
         assert cur.n == 1 and cur.vertices() == [trace.base]
+
+    def test_tables_match_recount_after_every_unmerge(self, monkeypatch):
+        cases = [(random_tree(60, s), 1) for s in range(5)]
+        cases += [(random_outerplanar(60, s), 2) for s in range(5)]
+        cases += [(stacked_triangulation(60, s), 5) for s in range(5)]
+        for g, d in cases:
+            # the graph each unmerge must leave, contracted independently
+            _, traces = odd_color_minor_closed(g, d)
+            expected = []
+            for comp, trace in zip(connected_components(g), traces):
+                cur, before = g.subgraph(comp), []
+                for x, y in trace.steps:
+                    before.append(cur)
+                    cur, _ = cur.contract(x, y)
+                expected += reversed(before)
+
+            class Checked(OddTracker):
+                def unmerge(self, x, y, row, gained):
+                    super().unmerge(x, y, row, gained)
+                    assert_tables_recount(self, expected.pop(0))
+
+            with monkeypatch.context() as m:
+                m.setattr(minor_closed, "OddTracker", Checked)
+                odd_color_minor_closed(g, d)
+            assert expected == []
 
     def test_thousand_random_trees_use_three_colors(self):
         for seed in range(1000):

@@ -3,9 +3,11 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from conftest import assert_tables_recount
 from oddcolor import reduction
 from oddcolor.coloring import is_odd_coloring
 from oddcolor.embedding import relabel_embedding, underlying_graph, validate
@@ -535,3 +537,46 @@ def test_every_pick_passes_check_config(monkeypatch):
         c, _ = odd_color_1planar(emb, t)
         assert is_odd_coloring(underlying_graph(emb), c) and len(c.colors_used()) <= 23
     assert len(picks) > len(cases)
+
+
+@pytest.mark.parametrize("force_bridge", [False, True])
+def test_tables_match_recount_at_every_record(monkeypatch, force_bridge):
+    # after each replayed record, every vertex of that step's graph has the
+    # tables a recount over its colored neighbors gives
+    shrink, extend = reduction._shrink, reduction._extend
+    graphs = []
+
+    def keeping(emb, g, cfg):
+        graphs.append(g)
+        return shrink(emb, g, cfg)
+
+    def checked(cfg, row, aux, tracker):
+        extend(cfg, row, aux, tracker)
+        assert_tables_recount(tracker, graphs.pop())
+
+    monkeypatch.setattr(reduction, "_shrink", keeping)
+    monkeypatch.setattr(reduction, "_extend", checked)
+    picks = _checked_picks(monkeypatch, force_bridge=force_bridge)
+    # at BIG=4 this instance contracts three edges whose kept end gains
+    # neighbors, which no pinned case does
+    gaining = random_one_plane(60, 0.0, seed=3), Thresholds(K=23, BIG=4)
+    for emb, t in [(emb, t) for _, emb, t in _pinned_cases()] + [gaining]:
+        odd_color_1planar(emb, t)
+        assert graphs == []
+    assert force_bridge == any(isinstance(cfg, Bridge) for cfg in picks)
+
+
+@pytest.mark.parametrize("family", [path_embedding, star_embedding, cycle_embedding])
+def test_memory_linear_in_n(family):
+    # the log keeps neighbor rows, not a graph per step: doubling n must
+    # not quadruple the peak
+    def peak(n):
+        emb = family(n)
+        tracemalloc.start()
+        try:
+            odd_color_1planar(emb)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(200) / peak(100) < 3
