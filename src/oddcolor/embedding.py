@@ -190,22 +190,23 @@ class OnePlaneGraph:
     # -- faces -----------------------------------------------------------
 
     def faces(self) -> list[Face]:
-        """All faces; every dart lies on exactly one."""
-        seen = set()
-        out = []
-        for d0 in range(2 * len(self._edges)):
-            if d0 in seen:
+        """All faces in fid order; every dart lies on exactly one.  Each
+        face is first reached at its minimal dart, so none needs sorting."""
+        nxt = [0] * (2 * len(self._edges))  # face_next, one table per call
+        for r in self._rot.values():
+            for i, d in enumerate(r):
+                nxt[r[i - 1] ^ 1] = d  # d follows r[i - 1] at this vertex
+        seen, out = bytearray(len(nxt)), []
+        for d0 in range(len(nxt)):
+            if seen[d0]:
                 continue
-            cyc = []
-            d = d0
-            while True:
+            cyc, d = [], d0
+            while not seen[d]:
+                seen[d] = 1
                 cyc.append(d)
-                seen.add(d)
-                d = self.face_next(d)
-                if d == d0:
-                    break
+                d = nxt[d]
             out.append(Face(tuple(cyc)))
-        return sorted(out, key=lambda f: f.fid)
+        return out
 
     def components(self) -> list[list[int]]:
         """Connected components of the planarization (vertex ids, sorted)."""
@@ -462,32 +463,33 @@ def _g_edge_segments(b: EmbeddingBuilder, x: int, y: int) -> tuple[list[int], in
 def delete_real_vertices(emb: OnePlaneGraph, drop: Iterable[int]) -> OnePlaneGraph:
     """Delete real vertices and all their original edges.  Crossings on a
     deleted edge disappear; the edge that crossed it is fused whole again."""
-    dropped = set(drop)
+    gone = set(drop)  # the dropped vertices, then the crossings that die with them
     b = EmbeddingBuilder.from_embedding(emb)
-    for v in dropped:
+    for v in gone:
         if b.kind.get(v) != REAL:
             raise InvalidEmbeddingError(f"{v} is not a real vertex")
+    dead = {e for v in gone for e in b.rot[v]}
+    fused: dict[int, int] = {}  # segment w-y -> segment x-w, fused into x-y
     # classify every virtual by how many of its two crossing edges die
     for w in emb.virtual_vertices():
-        r = list(b.rot[w])  # four segments, rotation order
+        r = b.rot[w]  # four segments, rotation order; far ends are real
         far = [b.other_end(e, w) for e in r]
-        die_a = far[0] in dropped or far[2] in dropped
-        die_b = far[1] in dropped or far[3] in dropped
-        if die_a and die_b:
-            for e in list(b.rot[w]):
-                b.delete_edge(e)
-            b.delete_isolated_vertex(w)
-        elif die_a or die_b:
-            keep = (r[1], r[3]) if die_a else (r[0], r[2])
-            kill = (r[0], r[2]) if die_a else (r[1], r[3])
-            for e in kill:
-                b.delete_edge(e)
-            _fuse_through(b, w, keep[0], keep[1])
-            b.delete_isolated_vertex(w)
-    for v in dropped:
-        for e in list(b.rot[v]):
-            b.delete_edge(e)
-        b.delete_isolated_vertex(v)
+        die_a = far[0] in gone or far[2] in gone
+        die_b = far[1] in gone or far[3] in gone
+        if die_a or die_b:
+            gone.add(w)
+            dead.update(r)
+        if die_a != die_b:
+            e1, e2 = (r[1], r[3]) if die_a else (r[0], r[2])
+            dead.difference_update((e1, e2))
+            b.ends[e1] = (b.other_end(e1, w), b.other_end(e2, w))
+            fused[e2] = e1
+    # filter each touched rotation once, keeping its order; build() reads
+    # only the segments that rotations name
+    for u in {u for e in (*dead, *fused) for u in b.ends[e]} - gone:
+        b.rot[u] = [fused.get(e, e) for e in b.rot[u] if e not in dead]
+    for v in gone:
+        del b.rot[v], b.kind[v]
     return b.build()
 
 

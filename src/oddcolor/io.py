@@ -107,18 +107,35 @@ def load_graph(path: str | Path) -> Graph:
 # ----------------------------------------------------------------------
 
 
+def _rows(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of encoded items as ``_dump`` lays it out:
+    one item per line at pad, the closing bracket one space less."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-1]}{brackets[1]}"
+
+
 def embedding_to_text(emb: OnePlaneGraph) -> str:
-    obj = {
-        "version": FORMAT_VERSION,
-        "vertices": [{"id": v, "kind": emb.kind(v)} for v in emb.vertices()],
-        "rotations": {str(v): list(emb.rotation(v)) for v in emb.vertices()},
-        "twins": [[2 * i, 2 * i + 1] for i in range(emb.num_segments())],
-        "virtual_pairs": {
-            str(w): [sorted(e) for e in sorted(emb.crossing_edges(w))]
-            for w in emb.virtual_vertices()
-        },
-    }
-    return _dump(obj)
+    """``_dump`` of the EmbeddingFile object, written directly: json's
+    indenting encoder runs in pure Python and dominates a round trip."""
+    vs = emb.vertices()
+    vertices = [f'{{\n   "id": {v},\n   "kind": "{emb.kind(v)}"\n  }}' for v in vs]
+    rotations = [f'"{v}": ' + _rows(list(map(str, emb.rotation(v))), "   ") for v in vs]
+    twins = [f"[\n   {2 * i},\n   {2 * i + 1}\n  ]" for i in range(emb.num_segments())]
+    pairs = []
+    for w in emb.virtual_vertices():
+        (a, b), (c, d) = sorted(emb.crossing_edges(w))
+        pairs.append(
+            f'"{w}": [\n   [\n    {a},\n    {b}\n   ],\n   [\n    {c},\n    {d}\n   ]\n  ]'
+        )
+    fields = [
+        f'"version": {FORMAT_VERSION}',
+        '"vertices": ' + _rows(vertices, "  "),
+        '"rotations": ' + _rows(rotations, "  ", "{}"),
+        '"twins": ' + _rows(twins, "  "),
+        '"virtual_pairs": ' + _rows(pairs, "  ", "{}"),
+    ]
+    return _rows(fields, " ", "{}") + "\n"
 
 
 def embedding_from_text(text: str) -> OnePlaneGraph:

@@ -167,10 +167,6 @@ class ReductionTrace:
         )
 
 
-def _metrics(emb: OnePlaneGraph) -> tuple[int, int]:
-    return len(emb.real_vertices()), emb.crossing_count()
-
-
 # ----------------------------------------------------------------------
 # Configuration search
 # ----------------------------------------------------------------------
@@ -238,7 +234,11 @@ def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> Reducibl
     g = underlying_graph(emb)
     if g.n and len(emb.components()) != 1:
         raise ValueError("planarization must be connected")
+    return _pick(emb, g, t)
 
+
+def _pick(emb: OnePlaneGraph, g: Graph, t: Thresholds) -> ReducibleConfig:
+    """find_reducible on a connected planarization and its underlying graph g."""
     for v in g.vertices():
         d = g.degree(v)
         if d % 2 == 1 and d <= t.ODD_MAX:
@@ -466,14 +466,14 @@ def _reduce(
             pending.extend(reversed(parts))
             continue
         g = underlying_graph(emb)
-        before = _metrics(emb)
+        before = (g.n, emb.crossing_count())
         if g.n <= t.K:
             trace.record("BaseCase", (g.n,), before, [])
             tracker.color.update((v, i + 1) for i, v in enumerate(g.vertices()))
             for v in g.vertices():
                 tracker.restore(v, g.neighbors(v))
             continue
-        cfg = find_reducible(emb, t)
+        cfg = _pick(emb, g, t)
         if isinstance(cfg, TwoFaceUncross):
             emb = uncross_two_face(emb, cfg.w)
         elif isinstance(cfg, SixFourSwap):
@@ -481,7 +481,8 @@ def _reduce(
         else:
             emb, row, aux = _shrink(emb, g, cfg)
             log.append((cfg, row, aux))
-        trace.record(type(cfg).__name__, astuple(cfg), before, [_metrics(emb)])
+        after = (len(emb.real_vertices()), emb.crossing_count())
+        trace.record(type(cfg).__name__, astuple(cfg), before, [after])
         pending.append(emb)
     return log
 

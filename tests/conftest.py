@@ -1,5 +1,9 @@
 import random
 
+import pytest
+
+from oddcolor.embedding import OnePlaneGraph
+from oddcolor.generators import k7_star_embedding, path_embedding, random_one_plane
 from oddcolor.graphs import Graph
 
 # sha256 of embedding_to_text of the two fixed drawings: corpora and
@@ -28,3 +32,17 @@ def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
                 want[tracker.color[u]] += 1
         assert tracker.neighbor_colors(v) == want, v
         assert tracker.num_odd(v) == sum(m % 2 for m in want), v
+
+
+def embedding_cases() -> list:
+    """Drawings for the file writer and the face walk, as pytest params: no
+    vertex, an empty rotation, crossing-free and crossed random instances,
+    and K7*."""
+    return [
+        pytest.param(OnePlaneGraph({}, [], {}), id="empty"),
+        pytest.param(path_embedding(1), id="path_embedding(1)"),
+        pytest.param(random_one_plane(40, 0.0, seed=5), id="random_one_plane(40, 0.0, 5)"),
+        pytest.param(random_one_plane(40, 0.5, seed=6), id="random_one_plane(40, 0.5, 6)"),
+        pytest.param(random_one_plane(60, 1.0, seed=7), id="random_one_plane(60, 1.0, 7)"),
+        pytest.param(k7_star_embedding(), id="k7_star"),
+    ]

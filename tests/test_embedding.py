@@ -2,11 +2,15 @@
 
 import pytest
 
+from conftest import embedding_cases
 from oddcolor.embedding import (
     REAL,
     VIRTUAL,
+    EmbeddingBuilder,
+    Face,
     InvalidEmbeddingError,
     OnePlaneGraph,
+    _fuse_through,
     contract_uncrossed_edge,
     delete_g_edge,
     delete_real_vertices,
@@ -21,7 +25,9 @@ from oddcolor.embedding import (
 from oddcolor.generators import (
     cycle_embedding,
     k7_star_embedding,
+    path_embedding,
     random_one_plane,
+    star_embedding,
 )
 from oddcolor.graphs import subdivided_complete
 
@@ -57,6 +63,22 @@ class TestFaces:
         assert v == 28 + emb.crossing_count()
         assert e == 42 + 2 * emb.crossing_count()
         assert v - e + f == 2
+
+    @pytest.mark.parametrize(
+        "emb", embedding_cases() + [pytest.param(star_embedding(10**4), id="star_embedding(10**4)")]
+    )
+    def test_matches_face_next_walk(self, emb):
+        walked, seen = [], set()
+        for d0 in emb.darts():
+            if d0 in seen:
+                continue
+            cyc, d = [d0], emb.face_next(d0)
+            while d != d0:
+                cyc.append(d)
+                d = emb.face_next(d)
+            seen.update(cyc)
+            walked.append(Face(tuple(cyc)))
+        assert emb.faces() == sorted(walked, key=lambda f: f.fid)
 
 
 class TestValidate:
@@ -137,7 +159,51 @@ class TestInsertCrossing:
             insert_crossing(emb, 0, other_side)
 
 
+def delete_by_segment(emb, drop):
+    """delete_real_vertices as one builder edit per segment, each a list
+    removal or insertion: the reference the one-pass filter must match."""
+    dropped = set(drop)
+    b = EmbeddingBuilder.from_embedding(emb)
+    for w in emb.virtual_vertices():
+        r = list(b.rot[w])
+        far = [b.other_end(e, w) for e in r]
+        die_a = far[0] in dropped or far[2] in dropped
+        die_b = far[1] in dropped or far[3] in dropped
+        if die_a or die_b:
+            for e in r if die_a and die_b else (r[0], r[2]) if die_a else (r[1], r[3]):
+                b.delete_edge(e)
+            if die_a != die_b:
+                _fuse_through(b, w, *b.rot[w])
+            b.delete_isolated_vertex(w)
+    for v in dropped:
+        for e in list(b.rot[v]):
+            b.delete_edge(e)
+        b.delete_isolated_vertex(v)
+    return b.build()
+
+
+def layout(emb):
+    return emb.segments(), [(v, emb.kind(v), emb.rotation(v)) for v in emb.vertices()]
+
+
 class TestSurgery:
+    @pytest.mark.parametrize(
+        "emb, drop",
+        [
+            (star_embedding(50), range(1, 51)),
+            (star_embedding(50), range(1, 51, 3)),
+            (star_embedding(50), [0]),
+            (path_embedding(50), range(0, 50, 2)),
+            (path_embedding(50), [0, 49, 25]),
+            (random_one_plane(40, 0.5, seed=8), range(0, 40, 5)),
+            (random_one_plane(40, 1.0, seed=9), [3, 4, 17]),
+            (k7_star_embedding(), [0, 1]),
+        ],
+    )
+    def test_delete_vertices_matches_segment_edits(self, emb, drop):
+        # filtering each rotation once keeps rotation order, so the output
+        # is the same embedding, segment numbering included
+        assert layout(delete_real_vertices(emb, drop)) == layout(delete_by_segment(emb, drop))
     def test_delete_vertex_keeps_euler(self):
         emb = random_one_plane(20, 0.6, seed=11)
         out = delete_real_vertices(emb, [3])

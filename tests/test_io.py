@@ -1,7 +1,10 @@
 """File formats: byte-exact round trips and parse failures."""
 
+import json
+
 import pytest
 
+from conftest import embedding_cases
 from oddcolor.coloring import Coloring
 from oddcolor.generators import k7_star_embedding, random_one_plane
 from oddcolor.graphs import cycle, subdivided_complete
@@ -82,6 +85,22 @@ class TestEmbeddingFile:
                 '{"version": 1, "vertices": [{"id": 0, "kind": "ghost"}],'
                 ' "rotations": {"0": []}, "twins": [], "virtual_pairs": {}}'
             )
+
+    @pytest.mark.parametrize("emb", embedding_cases())
+    def test_writer_matches_json_dump(self, emb):
+        # the object the module docstring documents, through json's own
+        # one-space indenting encoder
+        obj = {
+            "version": 1,
+            "vertices": [{"id": v, "kind": emb.kind(v)} for v in emb.vertices()],
+            "rotations": {str(v): list(emb.rotation(v)) for v in emb.vertices()},
+            "twins": [[2 * i, 2 * i + 1] for i in range(emb.num_segments())],
+            "virtual_pairs": {
+                str(w): [sorted(e) for e in sorted(emb.crossing_edges(w))]
+                for w in emb.virtual_vertices()
+            },
+        }
+        assert embedding_to_text(emb) == json.dumps(obj, indent=1) + "\n"
 
 
 class TestColoringFile:

@@ -4,13 +4,14 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from conftest import assert_tables_recount
 from oddcolor import reduction
 from oddcolor.coloring import is_odd_coloring
-from oddcolor.embedding import relabel_embedding, underlying_graph, validate
+from oddcolor.embedding import OnePlaneGraph, relabel_embedding, underlying_graph, validate
 from oddcolor.exact import chi_o
 from oddcolor.graphs import bridges
 from oddcolor.generators import (
@@ -469,6 +470,7 @@ PINNED_OUTPUTS = {
     "random_one_plane(50, 0.5, 12)": "b49e84f39d112e31db4feaf836b15447adc301f83cb773a7bad4afeb371d20b0",
     "random_one_plane(60, 1.0, 13)": "9a6b5c45736541285182720b33c1a24caf49c9b7b77b9d51a7a3cc80e93916df",
     "random_one_plane(80, 0.5, 14)": "8f67a3c788166eb76a33f01cb469677dcf6a54043a49451652cf53a492bd1c86",
+    "random_one_plane(60, 0.0, 3, BIG=4)": "7af903c8f8b8aa9fcdd712af95f617aea72c190f36d10f3da3bd406f78f51eb0",
 }
 
 
@@ -485,6 +487,8 @@ def _pinned_cases():
     yield "star_embedding(63)", star_embedding(63), t
     for n, p_cross, seed in ((40, 0.0, 11), (50, 0.5, 12), (60, 1.0, 13), (80, 0.5, 14)):
         yield f"random_one_plane({n}, {p_cross}, {seed})", random_one_plane(n, p_cross, seed=seed), t
+    # five contractions, three of whose kept ends gain neighbors
+    yield "random_one_plane(60, 0.0, 3, BIG=4)", random_one_plane(60, 0.0, seed=3), Thresholds(K=23, BIG=4)
 
 
 def _output_digest(emb, t: Thresholds) -> str:
@@ -500,20 +504,21 @@ def test_output_pinned():
 
 
 def _checked_picks(monkeypatch, force_bridge: bool = False) -> list:
-    """Wrap the engine's configuration search so that every configuration
-    it picks passes check_config, and return the list of picks.  With
-    force_bridge, a bridge is picked whenever the instance has one."""
-    search = reduction.find_reducible
+    """Wrap the engine's configuration search (its private pick point, which
+    find_reducible also calls) so that every configuration it picks passes
+    check_config, and return the list of picks.  With force_bridge, a bridge
+    is picked whenever the instance has one."""
+    search = reduction._pick
     picks = []
 
-    def checked(emb, t=Thresholds()):
-        br = bridges(underlying_graph(emb)) if force_bridge else []
-        cfg = Bridge(*br[0]) if br else search(emb, t)
+    def checked(emb, g, t):
+        br = bridges(g) if force_bridge else []
+        cfg = Bridge(*br[0]) if br else search(emb, g, t)
         check_config(emb, t, cfg)
         picks.append(cfg)
         return cfg
 
-    monkeypatch.setattr(reduction, "find_reducible", checked)
+    monkeypatch.setattr(reduction, "_pick", checked)
     return picks
 
 
@@ -557,13 +562,33 @@ def test_tables_match_recount_at_every_record(monkeypatch, force_bridge):
     monkeypatch.setattr(reduction, "_shrink", keeping)
     monkeypatch.setattr(reduction, "_extend", checked)
     picks = _checked_picks(monkeypatch, force_bridge=force_bridge)
-    # at BIG=4 this instance contracts three edges whose kept end gains
-    # neighbors, which no pinned case does
-    gaining = random_one_plane(60, 0.0, seed=3), Thresholds(K=23, BIG=4)
-    for emb, t in [(emb, t) for _, emb, t in _pinned_cases()] + [gaining]:
+    for _, emb, t in _pinned_cases():
         odd_color_1planar(emb, t)
         assert graphs == []
     assert force_bridge == any(isinstance(cfg, Bridge) for cfg in picks)
+
+
+def test_one_walk_per_reduce_step(monkeypatch):
+    # each pass of the reduce loop walks the planarization's components once
+    # (to split it) and builds the underlying graph at most once; validate
+    # walks the components once more and the final check builds the graph
+    emb = random_one_plane(80, 0.5, seed=21)
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(reduction, "split_components", counting("pass", reduction.split_components))
+    monkeypatch.setattr(reduction, "underlying_graph", counting("graph", reduction.underlying_graph))
+    monkeypatch.setattr(OnePlaneGraph, "components", counting("walk", OnePlaneGraph.components))
+    _, trace = odd_color_1planar(emb)
+    assert calls["pass"] >= len(trace.steps) > 20
+    assert calls["graph"] <= calls["pass"] + 1
+    assert calls["walk"] <= calls["pass"] + 1
 
 
 @pytest.mark.parametrize("family", [path_embedding, star_embedding, cycle_embedding])
