@@ -61,14 +61,10 @@ class Transfer:
 
 def initial_charges(emb: OnePlaneGraph) -> ChargeMap:
     """ch(v) = d(v) - 4 and ch(f) = d(f) - 4; the total is exactly -8."""
-    return _initial_charges(emb, emb.faces())
-
-
-def _initial_charges(emb: OnePlaneGraph, faces: list[Face]) -> ChargeMap:
     if len(emb.components()) != 1:
         raise NotConnectedError("planarization is disconnected")
     vertex = {v: Fraction(emb.degree(v) - 4) for v in emb.vertices()}
-    face = {f.fid: Fraction(f.len - 4) for f in faces}
+    face = {f.fid: Fraction(f.len - 4) for f in emb.faces()}
     return ChargeMap(vertex, face)
 
 
@@ -87,12 +83,7 @@ def rule_transfers(
     emb: OnePlaneGraph, big: int = BIG_DEGREE
 ) -> tuple[list[Transfer], list[Transfer], list[Transfer]]:
     """The R1, R2 and R3 movements as three independent transfer lists."""
-    return _rule_transfers(emb, big, emb.faces(), underlying_graph(emb))
-
-
-def _rule_transfers(
-    emb: OnePlaneGraph, big: int, faces: list[Face], g: Graph
-) -> tuple[list[Transfer], list[Transfer], list[Transfer]]:
+    faces, g = emb.faces(), underlying_graph(emb)
     two = _two_vertices(emb)
     bigs = _big_vertices(emb, big)
 
@@ -193,9 +184,7 @@ class AuditReport:
 def _face_tags(emb: OnePlaneGraph, f: Face, bigs: set[int]) -> tuple[list[str], dict]:
     verts = [emb.origin(d) for d in f.darts]
     tags = []
-    if f.len == 1:
-        tags.append("loop-face")
-    elif f.len == 2:
+    if f.len == 2:
         tags.append("two-face")  # an uncross move applies here
     elif f.len == 3:
         n_big = sum(1 for v in verts if v in bigs)
@@ -258,17 +247,7 @@ def audit(
     Each entry names the structural claim its existence violates; on an
     embedding where the reduction engine finds no configuration the report
     must be empty."""
-    return _audit(emb, cm_star, big, palette, emb.faces(), underlying_graph(emb))
-
-
-def _audit(
-    emb: OnePlaneGraph,
-    cm_star: ChargeMap,
-    big: int,
-    palette: int,
-    faces: list[Face],
-    g: Graph,
-) -> AuditReport:
+    faces, g = emb.faces(), underlying_graph(emb)
     bigs = _big_vertices(emb, big)
     entries: list[AuditEntry] = []
     faces_by_id = {f.fid: f for f in faces}
@@ -310,11 +289,8 @@ def _audit(
 def discharge(
     emb: OnePlaneGraph, big: int = BIG_DEGREE, palette: int = PALETTE
 ) -> tuple[ChargeMap, ChargeMap, AuditReport]:
-    """Initial charges, final charges, and the audit, in one call: one face
-    walk and one underlying graph serve all three."""
-    faces = emb.faces()
-    cm = _initial_charges(emb, faces)
-    g = underlying_graph(emb)
-    r1, r2, r3 = _rule_transfers(emb, big, faces, g)
-    cm_star = apply_transfers(cm, r1 + r2 + r3)
-    return cm, cm_star, _audit(emb, cm_star, big, palette, faces, g)
+    """Initial charges, final charges, and the audit, in one call.  The
+    embedding walks its faces and smooths its crossings once for all three."""
+    cm = initial_charges(emb)
+    cm_star = apply_rules(emb, cm, big)
+    return cm, cm_star, audit(emb, cm_star, big, palette)

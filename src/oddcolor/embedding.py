@@ -18,12 +18,18 @@ Face traversal convention: the successor of dart d is the rotation successor
 of twin(d) at d's target.  For a rotation system of a planar drawing the
 orbits are the faces and Euler's formula holds on every connected component;
 that check is the planarity validation.
+
+A OnePlaneGraph never changes, so what is derived from it is computed at
+most once per instance, on first use, and handed out immutable: the faces
+and the components of the planarization, and the smoothing behind
+``underlying_graph``, ``g_edges`` and ``validate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph, NotAnEdgeError
 
@@ -74,9 +80,12 @@ class OnePlaneGraph:
 
     Dart i of segment e is 2e (at edges[e][0]) or 2e+1 (at edges[e][1]),
     so dart d starts at edges[d >> 1][d & 1].
+
+    faces(), components() and the smoothing are derived on first use and
+    stored on the instance; later calls return the same immutable values.
     """
 
-    __slots__ = ("_kind", "_edges", "_rot")
+    __slots__ = ("_kind", "_edges", "_rot", "_faces", "_components", "_smoothing")
 
     def __init__(
         self,
@@ -120,6 +129,7 @@ class OnePlaneGraph:
         object.__setattr__(self, "_kind", kind)
         object.__setattr__(self, "_edges", edges_t)
         object.__setattr__(self, "_rot", rot_d)
+        self._faces = self._components = self._smoothing = None
 
     # -- basic structure -------------------------------------------------
 
@@ -189,10 +199,12 @@ class OnePlaneGraph:
 
     # -- faces -----------------------------------------------------------
 
-    def faces(self) -> list[Face]:
+    def faces(self) -> tuple[Face, ...]:
         """All faces in fid order; every dart lies on exactly one.  Each
         face is first reached at its minimal dart, so none needs sorting."""
-        nxt = [0] * (2 * len(self._edges))  # face_next, one table per call
+        if self._faces is not None:
+            return self._faces
+        nxt = [0] * (2 * len(self._edges))  # face_next as a table
         for r in self._rot.values():
             for i, d in enumerate(r):
                 nxt[r[i - 1] ^ 1] = d  # d follows r[i - 1] at this vertex
@@ -206,10 +218,13 @@ class OnePlaneGraph:
                 cyc.append(d)
                 d = nxt[d]
             out.append(Face(tuple(cyc)))
-        return out
+        self._faces = tuple(out)
+        return self._faces
 
-    def components(self) -> list[list[int]]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the planarization (vertex ids, sorted)."""
+        if self._components is not None:
+            return self._components
         seen: set[int] = set()
         comps = []
         for root in self.vertices():
@@ -225,8 +240,9 @@ class OnePlaneGraph:
                     if u not in seen:
                         seen.add(u)
                         stack.append(u)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        self._components = tuple(comps)
+        return self._components
 
     def __repr__(self) -> str:
         return (
@@ -282,10 +298,12 @@ def validate(emb: OnePlaneGraph) -> list[Violation]:
     return out
 
 
-def _smooth(emb: OnePlaneGraph) -> tuple[dict[int, set[int]], dict]:
-    """Adjacency of the underlying simple graph, and the map of g_edges;
-    raises InvalidEmbeddingError (with a witness in args[1]) if smoothing is
-    not simple."""
+def _smooth(emb: OnePlaneGraph) -> tuple[Graph, Mapping[tuple[int, int], int | None]]:
+    """The underlying simple graph and the read-only map of g_edges, stored
+    on emb; raises InvalidEmbeddingError (with a witness in args[1]) if
+    smoothing is not simple."""
+    if emb._smoothing is not None:
+        return emb._smoothing
     adj: dict[int, set[int]] = {v: set() for v in emb.real_vertices()}
     ends = [(u, v, None) for u, v in emb.segments() if u in adj and v in adj]
     for w in emb.virtual_vertices():
@@ -304,17 +322,17 @@ def _smooth(emb: OnePlaneGraph) -> tuple[dict[int, set[int]], dict]:
         crossing[e] = w
         adj[a].add(b)
         adj[b].add(a)
-    return adj, crossing
+    emb._smoothing = Graph(adj), MappingProxyType(crossing)
+    return emb._smoothing
 
 
 def underlying_graph(emb: OnePlaneGraph) -> Graph:
     """Recover the abstract graph: smooth every virtual vertex into its two
     crossing original edges."""
-    adj, _ = _smooth(emb)
-    return Graph({v: frozenset(ns) for v, ns in adj.items()})
+    return _smooth(emb)[0]
 
 
-def g_edges(emb: OnePlaneGraph) -> dict[tuple[int, int], int | None]:
+def g_edges(emb: OnePlaneGraph) -> Mapping[tuple[int, int], int | None]:
     """Original edges -> the virtual vertex crossing them (None if uncrossed)."""
     return _smooth(emb)[1]
 

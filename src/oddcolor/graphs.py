@@ -217,22 +217,17 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
         stack: list[tuple[int, int, Iterator[int]]] = [
             (root, -1, iter(sorted(g.neighbors(root))))
         ]
-        parent_edge_used: dict[int, bool] = {root: False}
         while stack:
             v, parent, it = stack[-1]
             advanced = False
             for u in it:
-                if u == parent and not parent_edge_used[v]:
-                    # skip the tree edge back to the parent exactly once,
-                    # so parallel edges (impossible here) would still work
-                    parent_edge_used[v] = True
-                    continue
+                if u == parent:
+                    continue  # the tree edge back; a Graph has no parallel edges
                 if u in index:
                     low[v] = min(low[v], index[u])
                 else:
                     index[u] = low[u] = counter
                     counter += 1
-                    parent_edge_used[u] = False
                     stack.append((u, v, iter(sorted(g.neighbors(u)))))
                     advanced = True
                     break

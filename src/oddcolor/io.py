@@ -2,7 +2,10 @@
 
 Both native formats are JSON with a fixed key order, one-space indentation
 and sorted lists, so saving what was loaded reproduces the file byte for
-byte.  Version field starts at 1.
+byte.  Version field starts at 1.  The readers accept only what the
+writers could have written: the version is required, every number is a
+JSON integer (true, 1.0 and "1" are rejected), and every object key that
+names a vertex is its canonical decimal ("1", not "01" or "+1").
 
 GraphFile (.graph.json):      {"version", "n", "edges": [[u, v] ...]}
 EmbeddingFile (.empl.json):   {"version", "vertices": [{"id", "kind"} ...],
@@ -47,6 +50,8 @@ def _read_json(text: str) -> dict:
         raise ParseError("<file>", f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("<file>", "top level must be an object")
+    if _need(obj, "version", int) != FORMAT_VERSION:
+        raise ParseError("version", f"unsupported version, expected {FORMAT_VERSION}")
     return obj
 
 
@@ -54,9 +59,26 @@ def _need(obj: dict, field: str, typ) -> object:
     if field not in obj:
         raise ParseError(field, "missing")
     val = obj[field]
-    if not isinstance(val, typ):
+    if type(val) is not typ:  # exact: a bool is not an int
         raise ParseError(field, f"expected {typ.__name__}")
     return val
+
+
+def _int(val: object, field: str) -> int:
+    if type(val) is not int:
+        raise ParseError(field, f"expected an int, got {json.dumps(val)}")
+    return val
+
+
+def _key(key: str, field: str) -> int:
+    """The vertex id an object key names, in canonical decimal only."""
+    try:
+        v = int(key)
+    except ValueError:
+        raise ParseError(field, "vertex id not an int") from None
+    if str(v) != key:
+        raise ParseError(field, f"vertex id {key!r} is not written as {v}")
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -76,11 +98,13 @@ def graph_to_text(g: Graph) -> str:
 def graph_from_text(text: str) -> Graph:
     obj = _read_json(text)
     n = _need(obj, "n", int)
+    if n < 0:
+        raise ParseError("n", "negative")
     edges = _need(obj, "edges", list)
     seen = set()
     pairs = []
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ParseError(f"edges[{i}]", "expected [u, v] of ints")
         u, v = e
         if not u < v:
@@ -147,22 +171,22 @@ def embedding_from_text(text: str) -> OnePlaneGraph:
             raise ParseError(f"vertices[{i}]", "expected {id, kind}")
         if rec["kind"] not in ("real", "virtual"):
             raise ParseError(f"vertices[{i}].kind", f"unknown kind {rec['kind']!r}")
-        kinds[int(rec["id"])] = rec["kind"]
+        v = _int(rec["id"], f"vertices[{i}].id")
+        if v in kinds:
+            raise ParseError(f"vertices[{i}].id", f"duplicate vertex {v}")
+        kinds[v] = rec["kind"]
     twins = _need(obj, "twins", list)
     for i, pair in enumerate(twins):
-        if pair != [2 * i, 2 * i + 1]:
+        if pair != [2 * i, 2 * i + 1] or not all(type(d) is int for d in pair):
             raise ParseError(f"twins[{i}]", f"expected [{2 * i}, {2 * i + 1}]")
     n_seg = len(twins)
     rotations = _need(obj, "rotations", dict)
     rot_darts: dict[int, list[int]] = {}
     for key, darts in rotations.items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise ParseError(f"rotations.{key}", "vertex id not an int") from None
+        v = _key(key, f"rotations.{key}")
         if v not in kinds:
             raise ParseError(f"rotations.{key}", "unknown vertex")
-        if not isinstance(darts, list) or not all(isinstance(d, int) for d in darts):
+        if not isinstance(darts, list) or not all(type(d) is int for d in darts):
             raise ParseError(f"rotations.{key}", "expected a list of dart ids")
         rot_darts[v] = darts
     if set(rot_darts) != set(kinds):
@@ -187,10 +211,16 @@ def embedding_from_text(text: str) -> OnePlaneGraph:
     except ValueError as exc:
         raise ParseError("rotations", str(exc)) from None
     stored = obj.get("virtual_pairs", {})
+    if not isinstance(stored, dict):
+        raise ParseError("virtual_pairs", "expected an object")
+    for key in stored:
+        if kinds.get(_key(key, f"virtual_pairs.{key}")) != "virtual":
+            raise ParseError(f"virtual_pairs.{key}", "not a crossing")
     for w in emb.virtual_vertices():
         want = [sorted(e) for e in sorted(emb.crossing_edges(w))]
         got = stored.get(str(w))
-        if got != want:
+        # equal lists may still hold true or 1.0 where an id is due
+        if got != want or not all(type(x) is int for e in got for x in e):
             raise ParseError(
                 f"virtual_pairs.{w}", f"stored {got}, rotation implies {want}"
             )
@@ -224,10 +254,7 @@ def coloring_from_text(text: str) -> Coloring:
     obj = _read_json(text)
     k = _need(obj, "k", int)
     colors = _need(obj, "colors", dict)
-    try:
-        assign = {int(v): int(c) for v, c in colors.items()}
-    except (TypeError, ValueError):
-        raise ParseError("colors", "expected {vertex: color}") from None
+    assign = {_key(v, f"colors.{v}"): _int(c, f"colors.{v}") for v, c in colors.items()}
     try:
         return Coloring(k, assign)
     except ValueError as exc:

@@ -11,7 +11,9 @@ record keeps the neighbor rows of the vertices its step removed (and the
 neighbors a contraction's kept end gained); only Bridge keeps its graph.
 The replay reads tau_o off one ``OddTracker``, whose tables describe the
 graph each record's step left: pending instances are vertex-disjoint, and
-no underlying edge joins two planarization components.  The fixed priority matters where a later configuration is only correct
+no underlying edge joins two planarization components.
+
+The fixed priority matters where a later configuration is only correct
 once an earlier one is absent: handling a vertex with 2-valent neighbors
 assumes no two small vertices are adjacent, so each 2-valent neighbor's
 other endpoint is big and survives the deletion.
@@ -234,11 +236,6 @@ def find_reducible(emb: OnePlaneGraph, t: Thresholds = Thresholds()) -> Reducibl
     g = underlying_graph(emb)
     if g.n and len(emb.components()) != 1:
         raise ValueError("planarization must be connected")
-    return _pick(emb, g, t)
-
-
-def _pick(emb: OnePlaneGraph, g: Graph, t: Thresholds) -> ReducibleConfig:
-    """find_reducible on a connected planarization and its underlying graph g."""
     for v in g.vertices():
         d = g.degree(v)
         if d % 2 == 1 and d <= t.ODD_MAX:
@@ -473,7 +470,7 @@ def _reduce(
             for v in g.vertices():
                 tracker.restore(v, g.neighbors(v))
             continue
-        cfg = _pick(emb, g, t)
+        cfg = find_reducible(emb, t)
         if isinstance(cfg, TwoFaceUncross):
             emb = uncross_two_face(emb, cfg.w)
         elif isinstance(cfg, SixFourSwap):

@@ -175,6 +175,13 @@ class TestColorVerify:
         code, payload, _ = run(capsys, "verify", c4_file, str(bad))
         assert code == 1 and payload["valid"] is False
 
+    def test_verify_rejects_non_int_color(self, tmp_path, capsys):
+        g, bad = tmp_path / "c3.graph.json", tmp_path / "bad.coloring.json"
+        save_graph(cycle(3), g)
+        bad.write_text('{"version": 1, "k": 3, "colors": {"0": 1, "1": 2, "2": 3.7}}')
+        code, payload, err = run(capsys, "verify", str(g), str(bad))
+        assert code == 2 and payload is None and "colors.2" in err
+
     def test_color_deterministic(self, emb_file, capsys):
         main(["color", "--engine", "reduction", emb_file])
         first, _ = capsys.readouterr()

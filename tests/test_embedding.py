@@ -1,5 +1,7 @@
 """Rotation systems: faces, validation, smoothing, and surgery."""
 
+import dataclasses
+
 import pytest
 
 from conftest import embedding_cases
@@ -78,7 +80,7 @@ class TestFaces:
                 d = emb.face_next(d)
             seen.update(cyc)
             walked.append(Face(tuple(cyc)))
-        assert emb.faces() == sorted(walked, key=lambda f: f.fid)
+        assert list(emb.faces()) == sorted(walked, key=lambda f: f.fid)
 
 
 class TestValidate:
@@ -135,6 +137,24 @@ class TestUnderlying:
     def test_g_edges_classifies_crossings(self):
         emb = one_crossing_pair()
         assert g_edges(emb) == {(0, 1): 4, (2, 3): 4}
+
+
+class TestDerivedOnce:
+    def test_second_call_returns_the_same_read_only_values(self):
+        emb = random_one_plane(40, 0.5, seed=6)
+        faces, comps = emb.faces(), emb.components()
+        g, cross = underlying_graph(emb), g_edges(emb)
+        assert validate(emb) == []
+        assert emb.faces() is faces and emb.components() is comps
+        assert underlying_graph(emb) is g and g_edges(emb) is cross
+        with pytest.raises(TypeError):
+            faces[0] = faces[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            faces[0].darts = ()
+        with pytest.raises(TypeError):
+            comps[0][0] = -1
+        with pytest.raises(TypeError):
+            cross[next(iter(cross))] = None
 
 
 class TestInsertCrossing:

@@ -1,6 +1,7 @@
 """File formats: byte-exact round trips and parse failures."""
 
 import json
+import re
 
 import pytest
 
@@ -111,6 +112,112 @@ class TestColoringFile:
     def test_color_out_of_palette(self):
         with pytest.raises(ParseError):
             coloring_from_text('{"version": 1, "k": 2, "colors": {"0": 7}}')
+
+
+def _edited(text: str, edit) -> str:
+    """text with its JSON object changed in place by edit."""
+    obj = json.loads(text)
+    edit(obj)
+    return json.dumps(obj)
+
+
+# one valid file per format, with the reader that loads it
+FILES = {
+    "graph": (graph_to_text(cycle(3)), graph_from_text),
+    "coloring": (coloring_to_text(Coloring(3, {0: 1, 1: 2, 2: 3})), coloring_from_text),
+    # random_one_plane(12, 1.0, 2) has crossings, so virtual_pairs is not empty
+    "embedding": (embedding_to_text(random_one_plane(12, 1.0, seed=2)), embedding_from_text),
+}
+
+
+def _load_edited(kind: str, edit):
+    text, reader = FILES[kind]
+    return reader(_edited(text, edit))
+
+
+def _set(*path_and_value):
+    """An edit that sets obj[path[0]]...[path[-1]] = value."""
+    *path, last, value = path_and_value
+
+    def edit(obj):
+        for key in path:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+def _first_key(field, rename):
+    """An edit that renames the first key of obj[field] by rename."""
+
+    def edit(obj):
+        key = next(iter(obj[field]))
+        obj[field][rename(key)] = obj[field].pop(key)
+
+    return edit
+
+
+class TestStrictReaders:
+    """The readers reject what no writer produces, instead of coercing it."""
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_valid_files_load(self, kind):
+        _load_edited(kind, lambda obj: None)
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    @pytest.mark.parametrize("version", [None, 99, 0, "1", 1.0, True])
+    def test_version_must_be_1(self, kind, version):
+        edit = (lambda obj: obj.pop("version")) if version is None else _set("version", version)
+        with pytest.raises(ParseError, match="version"):
+            _load_edited(kind, edit)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    @pytest.mark.parametrize(
+        "kind, path, field",
+        [
+            pytest.param("graph", ("n",), "n", id="graph-n"),
+            pytest.param("graph", ("edges", 0, 1), "edges[0]", id="graph-edge-end"),
+            pytest.param("coloring", ("k",), "k", id="coloring-k"),
+            pytest.param("coloring", ("colors", "2"), "colors.2", id="coloring-color"),
+            pytest.param("embedding", ("vertices", 2, "id"), "vertices[2].id", id="embedding-vertex-id"),
+            pytest.param("embedding", ("rotations", "0", 0), "rotations.0", id="embedding-rotation-dart"),
+            pytest.param("embedding", ("twins", 1, 0), "twins[1]", id="embedding-twin-dart"),
+        ],
+    )
+    def test_numbers_must_be_ints(self, kind, path, field, bad):
+        # each bad value equals or nearly equals a valid one, so coercion
+        # would have accepted it
+        with pytest.raises(ParseError, match=f"^{re.escape(field)}: "):
+            _load_edited(kind, _set(*path, bad))
+
+    def test_virtual_pair_ids_must_be_ints(self):
+        def edit(obj):
+            pairs = next(iter(obj["virtual_pairs"].values()))
+            pairs[0][0] = float(pairs[0][0])
+
+        with pytest.raises(ParseError, match="virtual_pairs"):
+            _load_edited("embedding", edit)
+
+    def test_negative_n(self):
+        with pytest.raises(ParseError, match="n: negative"):
+            _load_edited("graph", _set("n", -1))
+
+    @pytest.mark.parametrize("prefix, suffix", [("0", ""), ("+", ""), ("", " ")])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("coloring", "colors"), ("embedding", "rotations"), ("embedding", "virtual_pairs")],
+    )
+    def test_keys_must_be_canonical_decimals(self, kind, field, prefix, suffix):
+        with pytest.raises(ParseError, match=field):
+            _load_edited(kind, _first_key(field, lambda key: prefix + key + suffix))
+
+    def test_virtual_pairs_only_at_crossings(self):
+        with pytest.raises(ParseError, match="not a crossing"):
+            _load_edited("embedding", _set("virtual_pairs", "0", [[1, 2], [3, 4]]))
+
+    def test_duplicate_vertex_id(self):
+        with pytest.raises(ParseError, match="duplicate vertex"):
+            _load_edited("embedding", _set("vertices", 1, "id", 0))
 
 
 class TestLoadAnyAndDot:

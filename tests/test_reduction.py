@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 
 from conftest import assert_tables_recount
-from oddcolor import reduction
+from oddcolor import embedding, reduction
 from oddcolor.coloring import is_odd_coloring
+from oddcolor.discharging import discharge
 from oddcolor.embedding import OnePlaneGraph, relabel_embedding, underlying_graph, validate
 from oddcolor.exact import chi_o
 from oddcolor.graphs import bridges
@@ -23,6 +24,7 @@ from oddcolor.generators import (
     random_one_plane,
     star_embedding,
 )
+from oddcolor.io import embedding_from_text, embedding_to_text
 from oddcolor.reduction import (
     Bridge,
     OddLowVertex,
@@ -504,21 +506,20 @@ def test_output_pinned():
 
 
 def _checked_picks(monkeypatch, force_bridge: bool = False) -> list:
-    """Wrap the engine's configuration search (its private pick point, which
-    find_reducible also calls) so that every configuration it picks passes
-    check_config, and return the list of picks.  With force_bridge, a bridge
-    is picked whenever the instance has one."""
-    search = reduction._pick
+    """Wrap the engine's configuration search so that every configuration
+    it picks passes check_config, and return the list of picks.  With
+    force_bridge, a bridge is picked whenever the instance has one."""
+    search = reduction.find_reducible
     picks = []
 
-    def checked(emb, g, t):
-        br = bridges(g) if force_bridge else []
-        cfg = Bridge(*br[0]) if br else search(emb, g, t)
+    def checked(emb, t=Thresholds()):
+        br = bridges(underlying_graph(emb)) if force_bridge else []
+        cfg = Bridge(*br[0]) if br else search(emb, t)
         check_config(emb, t, cfg)
         picks.append(cfg)
         return cfg
 
-    monkeypatch.setattr(reduction, "_pick", checked)
+    monkeypatch.setattr(reduction, "find_reducible", checked)
     return picks
 
 
@@ -568,27 +569,60 @@ def test_tables_match_recount_at_every_record(monkeypatch, force_bridge):
     assert force_bridge == any(isinstance(cfg, Bridge) for cfg in picks)
 
 
-def test_one_walk_per_reduce_step(monkeypatch):
-    # each pass of the reduce loop walks the planarization's components once
-    # (to split it) and builds the underlying graph at most once; validate
-    # walks the components once more and the final check builds the graph
-    emb = random_one_plane(80, 0.5, seed=21)
-    calls = Counter()
+def _count_walks(monkeypatch) -> Counter:
+    """Count the derivations behind the cached accessors: the calls that
+    find nothing stored yet walk the faces or the components, or smooth the
+    crossings.  Keyed by (name, embedding)."""
+    walks = Counter()
 
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
+    def counting(name, slot, fn):
+        def counted(emb):
+            walks[name, emb] += getattr(emb, slot) is None
+            return fn(emb)
 
         return counted
 
-    monkeypatch.setattr(reduction, "split_components", counting("pass", reduction.split_components))
-    monkeypatch.setattr(reduction, "underlying_graph", counting("graph", reduction.underlying_graph))
-    monkeypatch.setattr(OnePlaneGraph, "components", counting("walk", OnePlaneGraph.components))
+    monkeypatch.setattr(embedding, "_smooth", counting("smooth", "_smoothing", embedding._smooth))
+    for name in ("faces", "components"):
+        accessor = getattr(OnePlaneGraph, name)
+        monkeypatch.setattr(OnePlaneGraph, name, counting(name, "_" + name, accessor))
+    return walks
+
+
+def test_one_walk_per_reduce_step(monkeypatch):
+    # each pass of the reduce loop walks its instance's components once (to
+    # split it) and smooths it at most once; validate derives both for the
+    # input, and the final check reuses them
+    emb = random_one_plane(80, 0.5, seed=21)
+    passes = []
+    split = reduction.split_components
+
+    def counting_split(emb):
+        passes.append(emb)
+        return split(emb)
+
+    monkeypatch.setattr(reduction, "split_components", counting_split)
+    walks = _count_walks(monkeypatch)
     _, trace = odd_color_1planar(emb)
-    assert calls["pass"] >= len(trace.steps) > 20
-    assert calls["graph"] <= calls["pass"] + 1
-    assert calls["walk"] <= calls["pass"] + 1
+    per_name = Counter()
+    for (name, _), count in walks.items():
+        per_name[name] += count
+    assert len(passes) >= len(trace.steps) > 20
+    assert per_name["smooth"] <= len(passes) + 1
+    assert per_name["components"] <= len(passes) + 1
+
+
+def test_one_derivation_per_embedding(monkeypatch):
+    # validate, the engine, the final check and the discharging audit all
+    # read the input's faces, components and underlying graph; the generator
+    # has derived them for its own copy, so the test reads a fresh one
+    emb = embedding_from_text(embedding_to_text(random_one_plane(80, 0.5, seed=21)))
+    walks = _count_walks(monkeypatch)
+    assert validate(emb) == []
+    odd_color_1planar(emb)
+    underlying_graph(emb)
+    discharge(emb)
+    assert [walks[name, emb] for name in ("faces", "components", "smooth")] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("family", [path_embedding, star_embedding, cycle_embedding])
