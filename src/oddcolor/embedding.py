@@ -23,6 +23,11 @@ A OnePlaneGraph never changes, so what is derived from it is computed at
 most once per instance, on first use, and handed out immutable: the faces
 and the components of the planarization, and the smoothing behind
 ``underlying_graph``, ``g_edges`` and ``validate``.
+
+Surgeries remove crossings and delete original edges only through
+``_fuse``, which joins an edge's two segments through a crossing that
+goes away, and ``_delete``, which removes real vertices and original
+edges in one pass and fuses each edge whose crossing partner dies.
 """
 
 from __future__ import annotations
@@ -423,11 +428,6 @@ class EmbeddingBuilder:
         self.rot[u].remove(e)
         self.rot[v].remove(e)
 
-    def delete_isolated_vertex(self, v: int) -> None:
-        if self.rot[v]:
-            raise InvalidEmbeddingError(f"vertex {v} still has segments")
-        del self.rot[v], self.kind[v]
-
     def replace_endpoint(self, e: int, old: int, new: int) -> None:
         a, b = self.ends[e]
         self.ends[e] = (new, b) if a == old else (a, new)
@@ -450,100 +450,96 @@ class EmbeddingBuilder:
 # ----------------------------------------------------------------------
 
 
-def _fuse_through(b: EmbeddingBuilder, w: int, e1: int, e2: int) -> int:
-    """Remove virtual w from an edge it subdivides: segments e1 (x-w) and
-    e2 (w-y) become one segment x-y keeping the far rotation slots."""
-    x = b.other_end(e1, w)
-    y = b.other_end(e2, w)
-    px = b.rot[x].index(e1)
-    py = b.rot[y].index(e2)
-    b.delete_edge(e1)
-    b.delete_edge(e2)
-    return b.add_edge(x, y, px, py)
+def _fuse(b: EmbeddingBuilder, w: int, e1: int, e2: int) -> None:
+    """Join segments e1 (x-w) and e2 (w-y) into one segment x-y: e1 keeps
+    its key and its slot at x, takes e2's slot at y, and e2 is dropped.
+    w's rotation is left to the caller."""
+    x, y = b.other_end(e1, w), b.other_end(e2, w)
+    b.rot[y][b.rot[y].index(e2)] = e1
+    b.ends[e1] = (x, y)
+    del b.ends[e2]
 
 
-def _g_edge_segments(b: EmbeddingBuilder, x: int, y: int) -> tuple[list[int], int | None]:
-    """Segments of original edge xy in a builder: ([e], None) if uncrossed,
-    ([ex, ey], w) if crossed at w (ex at x, ey at y)."""
-    for e in b.rot[x]:
-        u = b.other_end(e, x)
-        if u == y and b.kind[u] == REAL:
-            return [e], None
-        if b.kind[u] == VIRTUAL:
-            # opposite rotation position at the virtual belongs to the same edge
-            r = b.rot[u]
-            e_opp = r[(r.index(e) + 2) % 4]
-            if b.other_end(e_opp, u) == y:
-                return [e, e_opp], u
-    raise NotAnEdgeError((x, y))
-
-
-def delete_real_vertices(emb: OnePlaneGraph, drop: Iterable[int]) -> OnePlaneGraph:
-    """Delete real vertices and all their original edges.  Crossings on a
-    deleted edge disappear; the edge that crossed it is fused whole again."""
+def _delete(
+    emb: OnePlaneGraph, drop: Iterable[int], cut: Iterable[tuple[int, int]]
+) -> EmbeddingBuilder:
+    """A builder holding emb less the real vertices in drop and the original
+    edges that die: those with an end in drop and those in cut.  A crossing
+    of two dying edges disappears; at a crossing of one, the other edge is
+    fused whole again.  Each touched rotation is filtered once, in order."""
     gone = set(drop)  # the dropped vertices, then the crossings that die with them
+    cut = {(u, v) if u < v else (v, u) for u, v in cut}
     b = EmbeddingBuilder.from_embedding(emb)
     for v in gone:
         if b.kind.get(v) != REAL:
             raise InvalidEmbeddingError(f"{v} is not a real vertex")
     dead = {e for v in gone for e in b.rot[v]}
-    fused: dict[int, int] = {}  # segment w-y -> segment x-w, fused into x-y
+    if cut:
+        edges = g_edges(emb)
+        for u, v in cut:
+            if (u, v) not in edges:
+                raise NotAnEdgeError((u, v))
+            if edges[u, v] is None:
+                dead.update(e for e in b.rot[u] if b.other_end(e, u) == v)
+
+    def dies(u: int, v: int) -> bool:
+        return u in gone or v in gone or ((u, v) if u < v else (v, u)) in cut
+
     # classify every virtual by how many of its two crossing edges die
     for w in emb.virtual_vertices():
         r = b.rot[w]  # four segments, rotation order; far ends are real
         far = [b.other_end(e, w) for e in r]
-        die_a = far[0] in gone or far[2] in gone
-        die_b = far[1] in gone or far[3] in gone
+        die_a, die_b = dies(far[0], far[2]), dies(far[1], far[3])
         if die_a or die_b:
             gone.add(w)
             dead.update(r)
         if die_a != die_b:
             e1, e2 = (r[1], r[3]) if die_a else (r[0], r[2])
             dead.difference_update((e1, e2))
-            b.ends[e1] = (b.other_end(e1, w), b.other_end(e2, w))
-            fused[e2] = e1
-    # filter each touched rotation once, keeping its order; build() reads
-    # only the segments that rotations name
-    for u in {u for e in (*dead, *fused) for u in b.ends[e]} - gone:
-        b.rot[u] = [fused.get(e, e) for e in b.rot[u] if e not in dead]
+            _fuse(b, w, e1, e2)
+    # build() reads only the segments that rotations name
+    for u in {u for e in dead for u in b.ends[e]} - gone:
+        b.rot[u] = [e for e in b.rot[u] if e not in dead]
     for v in gone:
         del b.rot[v], b.kind[v]
-    return b.build()
+    return b
+
+
+def delete_real_vertices(emb: OnePlaneGraph, drop: Iterable[int]) -> OnePlaneGraph:
+    """Delete real vertices and all their original edges.  Crossings on a
+    deleted edge disappear; the edge that crossed it is fused whole again."""
+    return _delete(emb, drop, ()).build()
 
 
 def delete_g_edge(emb: OnePlaneGraph, x: int, y: int) -> OnePlaneGraph:
     """Delete one original edge, restoring whatever crossed it."""
-    b = EmbeddingBuilder.from_embedding(emb)
-    segs, w = _g_edge_segments(b, x, y)
-    for e in segs:
-        b.delete_edge(e)
-    if w is not None:
-        rest = list(b.rot[w])
-        _fuse_through(b, w, rest[0], rest[1])
-        b.delete_isolated_vertex(w)
-    return b.build()
+    return _delete(emb, (), [(x, y)]).build()
 
 
 def contract_uncrossed_edge(emb: OnePlaneGraph, x: int, y: int) -> OnePlaneGraph:
     """Contract a crossing-free original edge xy in the plane drawing.
 
-    x is merged into y.  The merged rotation interleaves the two old
-    rotations at the contracted corner, which keeps the drawing planar.
+    x is merged into y.  x's edges to the common neighbors of x and y are
+    deleted first, so the result is simple, as with ``Graph.contract``.
+    The merged rotation interleaves the two old rotations at the contracted
+    corner, which keeps the drawing planar.
     """
-    b = EmbeddingBuilder.from_embedding(emb)
-    segs, w = _g_edge_segments(b, x, y)
-    if w is not None:
+    edges = g_edges(emb)
+    xy = (x, y) if x < y else (y, x)
+    if xy not in edges:
+        raise NotAnEdgeError((x, y))
+    if edges[xy] is not None:
         raise InvalidEmbeddingError(f"edge ({x}, {y}) has a crossing")
-    e = segs[0]
-    rx, ry = b.rot[x], b.rot[y]
+    g = underlying_graph(emb)
+    b = _delete(emb, (), [(x, z) for z in g.neighbors(x) & g.neighbors(y)])
+    rx, ry = b.rot.pop(x), b.rot[y]
+    e = next(e for e in rx if b.other_end(e, x) == y)
     ix, iy = rx.index(e), ry.index(e)
-    merged = ry[iy + 1 :] + ry[:iy] + rx[ix + 1 :] + rx[:ix]
-    b.delete_edge(e)
-    for f in list(b.rot[x]):
+    moved = rx[ix + 1 :] + rx[:ix]
+    for f in moved:
         b.replace_endpoint(f, x, y)
-    b.rot[y] = merged
-    b.rot[x] = []
-    b.delete_isolated_vertex(x)
+    b.rot[y] = ry[iy + 1 :] + ry[:iy] + moved
+    del b.kind[x]
     return b.build()
 
 

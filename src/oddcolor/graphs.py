@@ -44,6 +44,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on vertex ids 0..n-1 with the given edges."""
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         adj: dict[int, set[int]] = {v: set() for v in range(n)}
         for u, v in edges:
             if u == v:
@@ -264,6 +266,8 @@ def complete(n: int) -> Graph:
 
 
 def star(leaves: int) -> Graph:
+    if leaves < 0:
+        raise ValueError("star needs leaves >= 0")
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

@@ -3,9 +3,10 @@
 Both native formats are JSON with a fixed key order, one-space indentation
 and sorted lists, so saving what was loaded reproduces the file byte for
 byte.  Version field starts at 1.  The readers accept only what the
-writers could have written: the version is required, every number is a
-JSON integer (true, 1.0 and "1" are rejected), and every object key that
-names a vertex is its canonical decimal ("1", not "01" or "+1").
+writers could have written: every field below is required and no other
+key is allowed, every number is a JSON integer (true, 1.0 and "1" are
+rejected), every object key that names a vertex is its canonical decimal
+("1", not "01" or "+1"), and graph edges are strictly increasing.
 
 GraphFile (.graph.json):      {"version", "n", "edges": [[u, v] ...]}
 EmbeddingFile (.empl.json):   {"version", "vertices": [{"id", "kind"} ...],
@@ -43,13 +44,17 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
-def _read_json(text: str) -> dict:
+def _read_json(text: str, keys: tuple[str, ...] = ()) -> dict:
+    """The top-level object of a file; with keys, no other key may occur."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("<file>", f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("<file>", "top level must be an object")
+    for key in obj:
+        if keys and key not in keys:
+            raise ParseError(key, "unknown field")
     if _need(obj, "version", int) != FORMAT_VERSION:
         raise ParseError("version", f"unsupported version, expected {FORMAT_VERSION}")
     return obj
@@ -96,22 +101,20 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    obj = _read_json(text)
+    obj = _read_json(text, ("version", "n", "edges"))
     n = _need(obj, "n", int)
     if n < 0:
         raise ParseError("n", "negative")
     edges = _need(obj, "edges", list)
-    seen = set()
-    pairs = []
+    pairs: list[tuple[int, int]] = []
     for i, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ParseError(f"edges[{i}]", "expected [u, v] of ints")
         u, v = e
         if not u < v:
             raise ParseError(f"edges[{i}]", "edges must be stored with u < v")
-        if (u, v) in seen:
-            raise ParseError(f"edges[{i}]", "duplicate edge")
-        seen.add((u, v))
+        if pairs and pairs[-1] >= (u, v):
+            raise ParseError(f"edges[{i}]", "edges must be strictly increasing")
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edges[{i}]", f"vertex outside 0..{n - 1}")
         pairs.append((u, v))
@@ -163,11 +166,11 @@ def embedding_to_text(emb: OnePlaneGraph) -> str:
 
 
 def embedding_from_text(text: str) -> OnePlaneGraph:
-    obj = _read_json(text)
+    obj = _read_json(text, ("version", "vertices", "rotations", "twins", "virtual_pairs"))
     verts = _need(obj, "vertices", list)
     kinds: dict[int, str] = {}
     for i, rec in enumerate(verts):
-        if not isinstance(rec, dict) or "id" not in rec or "kind" not in rec:
+        if not isinstance(rec, dict) or set(rec) != {"id", "kind"}:
             raise ParseError(f"vertices[{i}]", "expected {id, kind}")
         if rec["kind"] not in ("real", "virtual"):
             raise ParseError(f"vertices[{i}].kind", f"unknown kind {rec['kind']!r}")
@@ -210,9 +213,7 @@ def embedding_from_text(text: str) -> OnePlaneGraph:
         emb = OnePlaneGraph(kinds, edges, rot_edges)
     except ValueError as exc:
         raise ParseError("rotations", str(exc)) from None
-    stored = obj.get("virtual_pairs", {})
-    if not isinstance(stored, dict):
-        raise ParseError("virtual_pairs", "expected an object")
+    stored = _need(obj, "virtual_pairs", dict)
     for key in stored:
         if kinds.get(_key(key, f"virtual_pairs.{key}")) != "virtual":
             raise ParseError(f"virtual_pairs.{key}", "not a crossing")
@@ -251,7 +252,7 @@ def coloring_to_text(c: Coloring) -> str:
 
 
 def coloring_from_text(text: str) -> Coloring:
-    obj = _read_json(text)
+    obj = _read_json(text, ("version", "k", "colors"))
     k = _need(obj, "k", int)
     colors = _need(obj, "colors", dict)
     assign = {_key(v, f"colors.{v}"): _int(c, f"colors.{v}") for v, c in colors.items()}

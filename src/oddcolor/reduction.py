@@ -56,6 +56,7 @@ from .embedding import (
     EmbeddingBuilder,
     InvalidEmbeddingError,
     OnePlaneGraph,
+    _fuse,
     contract_uncrossed_edge,
     delete_g_edge,
     delete_real_vertices,
@@ -331,29 +332,20 @@ def uncross_two_face(emb: OnePlaneGraph, w: int) -> OnePlaneGraph:
     v = next(x for x in map(emb.origin, two_face.darts) if x != w)
 
     b = EmbeddingBuilder.from_embedding(emb)
-    rw = list(b.rot[w])
+    rw = b.rot.pop(w)
+    del b.kind[w]
     # the 2-face uses two rotation-consecutive segments toward v
     i = next(
         i
         for i in range(4)
         if b.other_end(rw[i], w) == v and b.other_end(rw[(i + 1) % 4], w) == v
     )
-    e1, e2 = rw[i], rw[(i + 1) % 4]
-    e1_opp, e2_opp = rw[(i + 2) % 4], rw[(i + 3) % 4]
-    a = b.other_end(e1_opp, w)
-    bb = b.other_end(e2_opp, w)
-    # swap continuations at the crossing: v's e1 stub joins b's stub, v's e2
-    # stub joins a's stub, leaving the same abstract edges {va, vb} uncrossed
-    vb_edge = b.new_edge_key(v, bb)
-    va_edge = b.new_edge_key(v, a)
-    b.replace_in_rot(v, e1, vb_edge)
-    b.replace_in_rot(v, e2, va_edge)
-    b.replace_in_rot(a, e1_opp, va_edge)
-    b.replace_in_rot(bb, e2_opp, vb_edge)
-    for e in (e1, e2, e1_opp, e2_opp):
-        b.drop_edge_key(e)
-    b.rot[w] = []
-    b.delete_isolated_vertex(w)
+    e1, e2, e1_opp, e2_opp = (rw[(i + j) % 4] for j in range(4))
+    # swap continuations at the crossing: v's e1 stub joins the stub of
+    # e2's far end, v's e2 stub that of e1's far end, leaving the same two
+    # abstract edges uncrossed
+    _fuse(b, w, e1, e2_opp)
+    _fuse(b, w, e2, e1_opp)
     return b.build()
 
 
@@ -398,25 +390,14 @@ def uncross_six_four(emb: OnePlaneGraph, cfg: SixFourSwap) -> OnePlaneGraph:
         raise PatternNotFoundError("corridors do not meet at c")
     u_z, z_p = crossing_slots(z, u)
     w_z, z_q = crossing_slots(z, w)
-    p = b.other_end(z_p, z)
-    q = b.other_end(z_q, z)
 
     # u takes w's slot at y2, w takes u's slot at y1
-    wy1 = b.new_edge_key(w, y1)
-    uy2 = b.new_edge_key(u, y2)
-    b.replace_in_rot(y1, u_y1, wy1)
-    b.replace_in_rot(y2, w_y2, uy2)
+    b.ends[u_y1], b.ends[w_y2] = (w, y1), (u, y2)
     # the second edges of u and w no longer cross: connect them directly
-    up = b.new_edge_key(u, p)
-    wq = b.new_edge_key(w, q)
-    b.replace_in_rot(p, z_p, up)
-    b.replace_in_rot(q, z_q, wq)
-    for e in (u_y1, w_y2, u_z, w_z, z_p, z_q):
-        b.drop_edge_key(e)
-    b.rot[u] = [uy2, up]
-    b.rot[w] = [wy1, wq]
-    b.rot[z] = []
-    b.delete_isolated_vertex(z)
+    _fuse(b, z, u_z, z_p)
+    _fuse(b, z, w_z, z_q)
+    b.rot[u], b.rot[w] = [w_y2, u_z], [u_y1, w_z]
+    del b.rot[z], b.kind[z]
     return b.build()
 
 
@@ -505,8 +486,6 @@ def _shrink(
         return delete_real_vertices(emb, [v, w]), g.neighbors(v) - {w}, g.neighbors(w)
     if isinstance(cfg, UncrossedSmallEdge):
         x, y = cfg.x, cfg.y
-        for z in sorted(g.neighbors(x) & g.neighbors(y)):
-            emb = delete_g_edge(emb, x, z)
         gained = g.neighbors(x) - g.neighbors(y) - {y}
         return contract_uncrossed_edge(emb, x, y), g.neighbors(x), gained
     # D2Vertex

@@ -59,6 +59,20 @@ class TestGen:
             main(["gen", "--name", "cycle"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--name", "complete", "--n", "-3"],
+            ["--name", "star", "--n", "-2"],
+            ["--name", "tree", "--n", "-4", "--seed", "1"],
+        ],
+    )
+    def test_gen_negative_size_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.graph.json"
+        code, _, err = run(capsys, "gen", *argv, "--out", str(out))
+        assert code == 2 and "error:" in err
+        assert not out.exists()
+
     def test_gen_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.empl.json", tmp_path / "b.empl.json"
         run(capsys, "gen", "--name", "random_one_plane", "--n", "15",

@@ -1,6 +1,8 @@
 """Rotation systems: faces, validation, smoothing, and surgery."""
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
@@ -12,7 +14,6 @@ from oddcolor.embedding import (
     Face,
     InvalidEmbeddingError,
     OnePlaneGraph,
-    _fuse_through,
     contract_uncrossed_edge,
     delete_g_edge,
     delete_real_vertices,
@@ -26,12 +27,21 @@ from oddcolor.embedding import (
 )
 from oddcolor.generators import (
     cycle_embedding,
+    figure4_pattern,
+    inject_adjacent_crossing,
     k7_star_embedding,
     path_embedding,
     random_one_plane,
     star_embedding,
 )
-from oddcolor.graphs import subdivided_complete
+from oddcolor.graphs import NotAnEdgeError, subdivided_complete
+from oddcolor.io import embedding_to_text
+from oddcolor.reduction import (
+    PatternNotFoundError,
+    SixFourSwap,
+    uncross_six_four,
+    uncross_two_face,
+)
 
 
 def one_crossing_pair() -> OnePlaneGraph:
@@ -193,12 +203,21 @@ def delete_by_segment(emb, drop):
             for e in r if die_a and die_b else (r[0], r[2]) if die_a else (r[1], r[3]):
                 b.delete_edge(e)
             if die_a != die_b:
-                _fuse_through(b, w, *b.rot[w])
-            b.delete_isolated_vertex(w)
+                # the surviving edge's two segments become one, keeping the
+                # far rotation slots: delete both, then insert x-y there
+                e1, e2 = b.rot[w]
+                x, y = b.other_end(e1, w), b.other_end(e2, w)
+                px, py = b.rot[x].index(e1), b.rot[y].index(e2)
+                b.delete_edge(e1)
+                b.delete_edge(e2)
+                b.add_edge(x, y, px, py)
+            assert not b.rot.pop(w)  # w is isolated now
+            del b.kind[w]
     for v in dropped:
         for e in list(b.rot[v]):
             b.delete_edge(e)
-        b.delete_isolated_vertex(v)
+        assert not b.rot.pop(v)
+        del b.kind[v]
     return b.build()
 
 
@@ -262,16 +281,34 @@ class TestSurgery:
             contract_uncrossed_edge(emb, 0, 1)
 
     def test_contract_on_random_corpus(self):
-        # the engine's recipe: drop edges to common neighbors, then contract
         emb = random_one_plane(18, 0.4, seed=2)
         g = underlying_graph(emb)
-        x, y = next(e for e, w in sorted(g_edges(emb).items()) if w is None)
-        for z in sorted(g.neighbors(x) & g.neighbors(y)):
-            emb = delete_g_edge(emb, x, z)
-        out = contract_uncrossed_edge(emb, x, y)
+        for (x, y), w in sorted(g_edges(emb).items()):
+            if w is None:
+                out = contract_uncrossed_edge(emb, x, y)
+                assert validate(out) == []
+                assert underlying_graph(out) == g.contract(x, y)[0]
+
+    def test_contract_deletes_edges_to_common_neighbors(self):
+        # in the wheel on hub 0 and rim 1-2-3-4, spoke 1-0 has two common
+        # neighbors: the contraction must not leave parallel edges behind
+        emb = plane_from_rotations(
+            5, {0: [1, 2, 3, 4], 1: [0, 4, 2], 2: [0, 1, 3], 3: [0, 2, 4], 4: [0, 3, 1]}
+        )
+        assert validate(emb) == []
+        g = underlying_graph(emb)
+        assert g.neighbors(1) & g.neighbors(0) == {2, 4}
+        out = contract_uncrossed_edge(emb, 1, 0)
         assert validate(out) == []
-        expect, _ = g.contract(x, y)
-        assert underlying_graph(out) == expect
+        assert underlying_graph(out) == g.contract(1, 0)[0]
+
+    @pytest.mark.parametrize("surgery", [delete_g_edge, contract_uncrossed_edge])
+    def test_non_edge_raises(self, surgery):
+        emb = cycle_embedding(5)
+        with pytest.raises(NotAnEdgeError):
+            surgery(emb, 0, 2)
+        with pytest.raises(NotAnEdgeError):
+            surgery(emb, 0, 7)
 
     def test_split_components(self):
         a = cycle_embedding(3)
@@ -288,3 +325,99 @@ class TestSurgery:
         assert [sorted(p.vertices()) for p in parts] == [[0, 1, 2], [3, 4, 5]]
         for p in parts:
             assert validate(p) == []
+
+
+# ----------------------------------------------------------------------
+# Pinned surgery outputs
+# ----------------------------------------------------------------------
+#
+# sha256 of the concatenated embedding_to_text of every output of one
+# surgery over a fixed seeded corpus: how a surgery edits the drawing is
+# free to change, the drawing it leaves (segment numbering included) is not.
+
+
+def two_face_corpus() -> list:
+    """Random drawings with one injected crossing of two edges at a vertex."""
+    rng = random.Random(21)
+    out = []
+    while len(out) < 12:
+        emb = random_one_plane(rng.randint(6, 20), rng.choice([0.0, 0.5]), seed=rng.randrange(10**6))
+        v = rng.choice(emb.real_vertices())
+        try:
+            out.append(inject_adjacent_crossing(emb, v, rng.randrange(max(1, emb.degree(v)))))
+        except ValueError:
+            continue
+    return out
+
+
+def surgery_corpus() -> list:
+    return [
+        random_one_plane(16, 0.0, seed=1),
+        random_one_plane(20, 0.5, seed=2),
+        random_one_plane(24, 1.0, seed=3),
+        random_one_plane(30, 0.7, seed=4),
+        k7_star_embedding(),
+        *two_face_corpus(),
+    ]
+
+
+def surgery_outputs(name: str):
+    if name == "delete_real_vertices":
+        for emb in surgery_corpus():
+            reals = emb.real_vertices()
+            for v in reals:
+                yield delete_real_vertices(emb, [v])
+            yield delete_real_vertices(emb, reals[::3])
+    elif name == "delete_g_edge":
+        for emb in surgery_corpus():
+            for x, y in sorted(g_edges(emb)):
+                yield delete_g_edge(emb, x, y)
+    elif name == "contract_uncrossed_edge":
+        # edges whose ends share no neighbor: the contraction deletes no edge
+        for emb in surgery_corpus():
+            g = underlying_graph(emb)
+            for (x, y), w in sorted(g_edges(emb).items()):
+                if w is None and not g.neighbors(x) & g.neighbors(y):
+                    yield contract_uncrossed_edge(emb, x, y)
+                    yield contract_uncrossed_edge(emb, y, x)
+    elif name == "uncross_two_face":
+        for emb in two_face_corpus():
+            for w in emb.virtual_vertices():
+                try:
+                    yield uncross_two_face(emb, w)
+                except PatternNotFoundError:
+                    pass
+    else:  # uncross_six_four, on relabelings of figure 4
+        base = figure4_pattern()
+        rng = random.Random(5)
+        vs = base.vertices()
+        for _ in range(12):
+            perm = list(vs)
+            rng.shuffle(perm)
+            m = dict(zip(vs, perm))
+            emb = relabel_embedding(base, m)
+            yield uncross_six_four(emb, SixFourSwap(u=m[1], w=m[2], v=m[0], z=m[12], c=m[5]))
+
+
+SURGERY_OUTPUTS = {
+    "delete_real_vertices": "e6938940b435d785e82bd5d6c44d0829e5f87389eeef8511470b94105581cf43",
+    "delete_g_edge": "ce50dc5daae0b194f931f95464f9ccaf40b881c2a5b176cfdf5411135a80b883",
+    "contract_uncrossed_edge": "92cdedd88d22041565a7482d08d9414acc9e9c6db539cff41599b54679d5bf9b",
+    "uncross_two_face": "f8e2fa294d8944747210afa09904833e33ab0ac3651659652e4d65daafc5d6e1",
+    "uncross_six_four": "894c3f3ff905b180171770d4ad518b117bc2b0cd303b6ae3e497b03700ca161a",
+}
+
+
+def surgery_digest(name: str) -> tuple[str, int]:
+    h, count = hashlib.sha256(), 0
+    for out in surgery_outputs(name):
+        h.update(embedding_to_text(out).encode())
+        count += 1
+    return h.hexdigest(), count
+
+
+@pytest.mark.parametrize("name", sorted(SURGERY_OUTPUTS))
+def test_surgery_outputs_pinned(name):
+    digest, count = surgery_digest(name)
+    assert count >= 12
+    assert digest == SURGERY_OUTPUTS[name]

@@ -53,6 +53,12 @@ class TestBasics:
         with pytest.raises(NotAVertexError):
             Graph.from_edges(2, [(0, 5)])
 
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            Graph.from_edges(-1, [])
+        with pytest.raises(ValueError):
+            star(-1)  # leaves + 1 == 0 vertices would pass from_edges
+
     def test_edges_sorted(self):
         g = Graph.from_edges(3, [(2, 1), (0, 2)])
         assert g.edges() == [(0, 2), (1, 2)]

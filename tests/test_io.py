@@ -41,6 +41,11 @@ class TestGraphFile:
         with pytest.raises(ParseError):
             graph_from_text('{"version": 1, "n": 3, "edges": [[0, 1], [0, 1]]}')
 
+    def test_edges_must_be_strictly_increasing(self):
+        # each edge is stored with u < v, but the list is out of order
+        with pytest.raises(ParseError, match="strictly increasing"):
+            graph_from_text('{"version": 1, "n": 3, "edges": [[1, 2], [0, 1]]}')
+
     def test_vertex_out_of_range(self):
         with pytest.raises(ParseError):
             graph_from_text('{"version": 1, "n": 2, "edges": [[0, 5]]}')
@@ -214,6 +219,26 @@ class TestStrictReaders:
     def test_virtual_pairs_only_at_crossings(self):
         with pytest.raises(ParseError, match="not a crossing"):
             _load_edited("embedding", _set("virtual_pairs", "0", [[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("kind", list(FILES))
+    def test_unknown_top_level_field(self, kind):
+        with pytest.raises(ParseError, match="^junk: unknown field"):
+            _load_edited(kind, _set("junk", 1))
+
+    def test_vertex_record_has_only_id_and_kind(self):
+        with pytest.raises(ParseError, match=re.escape("vertices[1]")):
+            _load_edited("embedding", _set("vertices", 1, "junk", 1))
+
+    @pytest.mark.parametrize("emb", [random_one_plane(12, 1.0, seed=2), random_one_plane(8, 0.0, seed=1)])
+    def test_virtual_pairs_required(self, emb):
+        # also where there is no crossing to describe
+        text = _edited(embedding_to_text(emb), lambda obj: obj.pop("virtual_pairs"))
+        with pytest.raises(ParseError, match="^virtual_pairs: missing"):
+            embedding_from_text(text)
+
+    def test_virtual_pairs_must_be_an_object(self):
+        with pytest.raises(ParseError, match="^virtual_pairs: expected"):
+            _load_edited("embedding", _set("virtual_pairs", []))
 
     def test_duplicate_vertex_id(self):
         with pytest.raises(ParseError, match="duplicate vertex"):
