@@ -3,7 +3,9 @@
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit
 codes: 0 success, 1 negative verification or infeasible, 2 usage error,
 3 internal failure (an engine invariant broke or the tool rejected its
-own output).
+own output).  ``discharge``, ``stats`` and ``color --engine reduction``
+exit 2 on a drawing that ``validate`` rejects; ``dot`` draws any
+planarization, valid or not, since it is a debugging view.
 
     oddcolor gen --name cycle --n 5 --out c5.graph.json
     oddcolor gen --name random_one_plane --n 30 --p-cross 0.5 --seed 7 --out r.empl.json
@@ -26,7 +28,7 @@ from collections import Counter
 
 from . import io as formats
 from .coloring import Coloring, is_odd_coloring
-from .embedding import OnePlaneGraph, underlying_graph, validate
+from .embedding import InvalidEmbeddingError, OnePlaneGraph, underlying_graph, validate
 from .exact import INCONCLUSIVE, SearchConfig, chi_o, min_odd_coloring
 from .generators import GENERATORS, gen
 from .graphs import Graph, degeneracy_order
@@ -50,6 +52,16 @@ def _say(msg: str) -> None:
 
 def _as_graph(thing: Graph | OnePlaneGraph) -> Graph:
     return underlying_graph(thing) if isinstance(thing, OnePlaneGraph) else thing
+
+
+def _load_valid_embedding(path: str) -> OnePlaneGraph:
+    """The embedding in path; one that ``validate`` rejects raises
+    InvalidEmbeddingError naming the first violation."""
+    emb = formats.load_embedding(path)
+    bad = validate(emb)
+    if bad:
+        raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
+    return emb
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -188,7 +200,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    emb = formats.load_embedding(args.input)
+    emb = _load_valid_embedding(args.input)
     initial, final, report = discharge(emb)
     _emit(
         {
@@ -203,7 +215,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    emb = formats.load_embedding(args.input)
+    emb = _load_valid_embedding(args.input)
     g = underlying_graph(emb)
     d, _ = degeneracy_order(g)
     degree_hist = Counter(g.degree(v) for v in g.vertices())

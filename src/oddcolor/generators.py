@@ -139,15 +139,21 @@ def figure4_pattern() -> OnePlaneGraph:
 
 
 def cycle_embedding(n: int) -> OnePlaneGraph:
+    if n < 3:
+        raise ValueError("cycle needs n >= 3")
     return plane_from_rotations(n, {i: [(i - 1) % n, (i + 1) % n] for i in range(n)})
 
 
 def path_embedding(n: int) -> OnePlaneGraph:
+    if n < 1:
+        raise ValueError("path needs n >= 1")
     rot = {i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)}
     return plane_from_rotations(n, rot)
 
 
 def star_embedding(leaves: int) -> OnePlaneGraph:
+    if leaves < 0:
+        raise ValueError("star needs leaves >= 0")
     rot = {0: list(range(1, leaves + 1))}
     rot.update({i: [0] for i in range(1, leaves + 1)})
     return plane_from_rotations(leaves + 1, rot)

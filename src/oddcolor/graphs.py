@@ -177,31 +177,74 @@ def degeneracy_order(g: Graph) -> tuple[int, list[int]]:
     vertex has at most d neighbors that come later; the reverse order is
     the usual smallest-last coloring order.
     """
-    alive: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in g.vertices()}
-    heap = [(len(ns), v) for v, ns in alive.items()]
-    heapq.heapify(heap)
+    adj = MutableAdjacency(g, g.vertices())
     order: list[int] = []
     dmax = 0
     for _ in range(g.n):
-        v = pop_min_degree(heap, alive)
-        dmax = max(dmax, len(alive[v]))
+        v = adj.pop_min()
+        dmax = max(dmax, len(adj.remove(v)))
         order.append(v)
-        for u in alive.pop(v):
-            alive[u].remove(v)
-            heapq.heappush(heap, (len(alive[u]), u))
     return dmax, order
 
 
-def pop_min_degree(heap: list[tuple[int, int]], adj: dict[int, set[int]]) -> int:
-    """Pop the vertex of ``adj`` with least (degree, id) from a lazy heap.
+class MutableAdjacency:
+    """A shrinking copy of part of a Graph: one set of neighbors per vertex.
 
-    The heap holds a (degree, id) entry for every vertex, pushed anew
-    whenever its degree changes; entries of deleted vertices and of
-    degrees that have changed since the push are skipped."""
-    while True:
-        d, v = heapq.heappop(heap)
-        if v in adj and len(adj[v]) == d:
-            return v
+    ``rows`` maps each remaining vertex to its neighbors; callers read it
+    and change it only through ``remove`` and ``merge``.  A lazy heap holds
+    a (degree, id) entry for every vertex, pushed anew whenever its degree
+    changes, so ``pop_min`` skips entries of removed vertices and of
+    degrees that have changed since the push.
+    """
+
+    __slots__ = ("rows", "_heap")
+
+    def __init__(self, g: Graph, vs: Iterable[int]):
+        """Copy g's rows of vs, which must hold every neighbor of each of
+        its vertices (a union of components).  O(n + m)."""
+        self.rows = {v: set(g.neighbors(v)) for v in vs}
+        self._heap = [(len(ns), v) for v, ns in self.rows.items()]
+        heapq.heapify(self._heap)
+
+    def pop_min(self) -> int:
+        """The remaining vertex of least (degree, id).  It stays in place,
+        but its heap entry is spent: remove or merge it next."""
+        rows, heap = self.rows, self._heap
+        while True:
+            d, v = heapq.heappop(heap)
+            if v in rows and len(rows[v]) == d:
+                return v
+
+    def remove(self, v: int) -> set[int]:
+        """Delete v and return its row."""
+        rows, heap = self.rows, self._heap
+        row = rows.pop(v)
+        for u in row:
+            ru = rows[u]
+            ru.remove(v)
+            heapq.heappush(heap, (len(ru), u))
+        return row
+
+    def merge(self, x: int, y: int) -> tuple[set[int], list[int]]:
+        """Contract edge xy into y and return (N(x), the neighbors y gained).
+
+        Loops vanish and parallel edges collapse; O(deg x)."""
+        rows, heap, push = self.rows, self._heap, heapq.heappush
+        nx = rows.pop(x)
+        ny = rows[y]
+        ny.remove(x)
+        gained = []
+        for w in nx - {y}:
+            nw = rows[w]
+            nw.remove(x)
+            if w in ny:
+                push(heap, (len(nw), w))
+            else:
+                nw.add(y)
+                ny.add(w)
+                gained.append(w)
+        push(heap, (len(ny), y))
+        return nx, gained
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:

@@ -8,10 +8,10 @@ kept endpoint's color appears exactly once on the new vertex's neighborhood,
 which is what makes the extension odd; that fact is checked after every
 extension step.
 
-Each component is contracted on one mutable adjacency.  The vertex x of
-least (degree, id) comes from a lazy heap, merges into its lowest-id
-neighbor y in O(d), and the merge goes on an undo log as (x, y, N(x), the
-neighbors y gained).  The unwind walks the log backwards on one
+Each component is contracted on one ``graphs.MutableAdjacency``: the
+vertex x of least (degree, id) merges into its lowest-id neighbor y in
+O(d), and the merge goes on an undo log as (x, y, N(x), the neighbors y
+gained).  The unwind walks the log backwards on one
 ``OddTracker``, whose per-vertex tables count how many neighbors carry
 each color: ``unmerge`` takes y's gained edges out of the tables, colors
 x greedily and checks y's color on N(x), one call per record.  The graph
@@ -25,11 +25,10 @@ degree at most d, and that is checked at every step.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .coloring import Coloring, EngineInvariantError, OddTracker, is_odd_coloring
-from .graphs import Graph, connected_components, pop_min_degree
+from .graphs import Graph, MutableAdjacency, connected_components
 
 
 class NotDegenerateError(ValueError):
@@ -74,39 +73,33 @@ def _color_component(
     g: Graph, comp: list[int], d: int, tracker: OddTracker
 ) -> ContractionTrace:
     """Color the connected component ``comp`` of g into ``tracker``."""
-    trace = ContractionTrace()
-    adj = {v: set(g.neighbors(v)) for v in comp}
-    heap = [(len(ns), v) for v, ns in adj.items()]
-    heapq.heapify(heap)
-    log: list[tuple[int, int, set[int], list[int]]] = []  # (x, y, N(x), gained by y)
-    while len(adj) > 1:
-        x = pop_min_degree(heap, adj)
-        if len(adj[x]) > d:
-            raise NotDegenerateError(Graph(adj), d)
-        if not adj[x]:
-            # disconnected inputs are split by the caller; unreachable here
-            raise EngineInvariantError("isolated vertex in connected component")
-        nx = adj.pop(x)
-        y = min(nx)
-        ny = adj[y]
-        ny.remove(x)
-        gained = []
-        for w in nx - {y}:
-            adj[w].remove(x)
-            if w in ny:
-                heapq.heappush(heap, (len(adj[w]), w))
-            else:
-                adj[w].add(y)
-                ny.add(w)
-                gained.append(w)
-        heapq.heappush(heap, (len(ny), y))
-        log.append((x, y, nx, gained))
-        trace.steps.append((x, y))
-    (trace.base,) = adj
-    tracker.extend(trace.base, ())
+    log, base = _contract(g, comp, d)
+    tracker.extend(base, ())
     for x, y, nx, gained in reversed(log):
         tracker.unmerge(x, y, nx, gained)
-    return trace
+    return ContractionTrace([(x, y) for x, y, _, _ in log], base)
+
+
+def _contract(g: Graph, comp: list[int], d: int) -> tuple[list, int]:
+    """Contract the connected component ``comp`` of g to one vertex.
+
+    Returns the log of (x, y, N(x), neighbors y gained) per merge of x into
+    y, and the last vertex.  Raises NotDegenerateError when every vertex
+    left has degree above d."""
+    adj = MutableAdjacency(g, comp)
+    rows = adj.rows
+    log = []
+    while len(rows) > 1:
+        x = adj.pop_min()
+        if len(rows[x]) > d:
+            raise NotDegenerateError(Graph(rows), d)
+        if not rows[x]:
+            # disconnected inputs are split by the caller; unreachable here
+            raise EngineInvariantError("isolated vertex in connected component")
+        y = min(rows[x])
+        log.append((x, y, *adj.merge(x, y)))
+    (base,) = rows
+    return log, base
 
 
 # ----------------------------------------------------------------------
@@ -115,36 +108,24 @@ def _color_component(
 
 
 def has_k4_minor(g: Graph) -> bool:
-    """Exact test: reduce by deleting degree-<=2 vertices (smoothing a
-    degree-2 vertex adds the shortcut edge).  These reductions preserve
-    the existence of a K4 minor, and a simple graph where none applies has
-    minimum degree >= 3, hence contains a K4 subdivision."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
-    queue = [v for v, ns in adj.items() if len(ns) <= 2]
-    while queue:
-        v = queue.pop()
-        if v not in adj or len(adj[v]) > 2:
-            continue
-        ns = sorted(adj[v])
-        for u in ns:
-            adj[u].discard(v)
-        if len(ns) == 2:
-            a, b = ns
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-        del adj[v]
-        for u in ns:
-            if u in adj and len(adj[u]) <= 2:
-                queue.append(u)
-    return bool(adj)
+    """Exact test: contract every component at d = 2.
+
+    Contracting an edge at a vertex of degree <= 2 deletes a pendant
+    vertex, smooths a degree-2 vertex or drops one whose neighbors are
+    adjacent; none of these creates or destroys a K4 minor.  A graph where
+    the contraction gets stuck has minimum degree >= 3, hence contains a
+    K4 subdivision."""
+    try:
+        for comp in connected_components(g):
+            _contract(g, comp, 2)
+    except NotDegenerateError:
+        return True
+    return False
 
 
 def odd_color_k4_minor_free(g: Graph) -> tuple[Coloring, list[ContractionTrace]]:
     """Odd 5-coloring of a K4-minor-free graph (such graphs are
-    2-degenerate).  Membership is verified for |G| <= 12, otherwise the
-    caller asserts it; a wrong promise still fails fast through the
-    degeneracy check."""
-    if g.n <= 12 and has_k4_minor(g):
-        raise ValueError("graph has a K4 minor")
+    2-degenerate): ``odd_color_minor_closed(g, 2)``.  By the argument in
+    ``has_k4_minor``, a graph with a K4 minor, of any size, raises
+    NotDegenerateError (a ValueError)."""
     return odd_color_minor_closed(g, 2)

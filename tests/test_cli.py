@@ -16,6 +16,7 @@ from oddcolor.cli import main
 from oddcolor.coloring import Coloring
 from oddcolor.discharging import discharge
 from oddcolor.exact import chi_o, exists_odd_k_coloring
+from oddcolor.embedding import plane_from_rotations
 from oddcolor.generators import cycle_embedding, random_one_plane
 from oddcolor.graphs import cycle
 from oddcolor.io import load_embedding, save_coloring, save_embedding, save_graph
@@ -285,6 +286,27 @@ class TestOtherCommands:
         assert payload["crossings"] >= 0
         assert payload["degeneracy"] <= 7
         assert sum(payload["degree_histogram"].values()) == payload["vertices"]
+
+    @pytest.fixture
+    def torus_k4_file(self, tmp_path):
+        # K4 with one twisted rotation: it loads, but embeds on the torus
+        rot = {0: [1, 2, 3], 1: [0, 2, 3], 2: [0, 1, 3], 3: [0, 1, 2]}
+        p = tmp_path / "torus.empl.json"
+        save_embedding(plane_from_rotations(4, rot), p)
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["discharge", "stats", "color"])
+    def test_invalid_drawing_is_usage_error(self, torus_k4_file, capsys, command):
+        argv = ["color", "--engine", "reduction"] if command == "color" else [command]
+        code, payload, err = run(capsys, *argv, torus_k4_file)
+        assert code == 2 and payload is None
+        assert "EulerViolation" in err
+        assert run(capsys, "validate", torus_k4_file)[0] == 1
+
+    def test_dot_draws_an_invalid_drawing(self, torus_k4_file, capsys):
+        code = main(["dot", torus_k4_file])
+        out, _ = capsys.readouterr()
+        assert code == 0 and out.startswith("graph planarization {")
 
     def test_dot(self, emb_file, capsys):
         code = main(["dot", emb_file])

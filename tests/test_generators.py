@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -15,11 +16,20 @@ from oddcolor.generators import (
     gen,
     inject_adjacent_crossing,
     k7_star_embedding,
+    path_embedding,
     random_one_plane,
     random_outerplanar,
     random_tree,
+    star_embedding,
 )
-from oddcolor.graphs import connected_components, degeneracy_order, subdivided_complete
+from oddcolor.graphs import (
+    connected_components,
+    cycle,
+    degeneracy_order,
+    path,
+    star,
+    subdivided_complete,
+)
 from oddcolor.io import embedding_to_text
 from oddcolor.minor_closed import has_k4_minor
 from oddcolor.reduction import SixFourSwap, Thresholds, find_reducible
@@ -43,6 +53,26 @@ class TestNamedGraphs:
     def test_subdivided_complete_counts(self):
         g = gen("subdivided_complete", n=7)
         assert g.n == 28 and g.num_edges() == 42
+
+    @pytest.mark.parametrize(
+        "drawing, graph, size",
+        [
+            (cycle_embedding, cycle, 2),
+            (cycle_embedding, cycle, 1),
+            (cycle_embedding, cycle, 0),
+            (path_embedding, path, 0),
+            (path_embedding, path, -2),
+            (star_embedding, star, -1),
+            (star_embedding, star, -3),
+        ],
+    )
+    def test_drawings_reject_impossible_sizes(self, drawing, graph, size):
+        # the same ValueError as the graph of the same name, not an empty
+        # drawing or a complaint about segments
+        with pytest.raises(ValueError) as want:
+            graph(size)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            drawing(size)
 
 
 class TestK7Star:

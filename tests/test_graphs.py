@@ -7,6 +7,7 @@ import pytest
 from conftest import random_graph
 from oddcolor.graphs import (
     Graph,
+    MutableAdjacency,
     NotAnEdgeError,
     NotAVertexError,
     bridges,
@@ -139,6 +140,31 @@ class TestDegeneracy:
         got = repr([degeneracy_order(g) for g in gs]).encode()
         want = "6b2f0c3354671e98430afc5e7e6871b91931733c79915127037e4c1baad5c74b"
         assert hashlib.sha256(got).hexdigest() == want
+
+
+class TestMutableAdjacency:
+    # a triangle 0, 1, 2 with a pendant vertex 3 at 0
+    G = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+
+    def test_merge_reports_row_and_gained(self):
+        adj = MutableAdjacency(self.G, self.G.vertices())
+        row, gained = adj.merge(0, 1)
+        # 2 was a neighbor of both ends, so 1 gains only 3
+        assert row == {1, 2, 3} and gained == [3]
+        assert adj.rows == {1: {2, 3}, 2: {1}, 3: {1}}
+        # 2 and 3 both have degree 1: the lower id wins
+        assert adj.pop_min() == 2
+
+    def test_pop_min_skips_stale_entries(self):
+        adj = MutableAdjacency(self.G, self.G.vertices())
+        assert adj.remove(3) == {0}
+        # the heap's least entry, (1, 3), belongs to a removed vertex; then
+        # 0, 1 and 2 tie at degree 2 and go by id
+        order = []
+        while adj.rows:
+            order.append(adj.pop_min())
+            adj.remove(order[-1])
+        assert order == [0, 1, 2]
 
 
 class TestBridges:

@@ -228,6 +228,20 @@ class TestK4MinorFree:
         g = random_graph(6, 0.5, seed=500 + seed)
         assert has_k4_minor(g) == brute_has_k4_minor(g)
 
+    def test_exactly_the_graphs_the_engine_refuses_at_d2(self):
+        # odd_color_k4_minor_free relies on this instead of a pre-check
+        refusals = 0
+        for seed in range(300):
+            g = random_graph(1 + seed % 14, 0.1 + 0.05 * (seed % 7), seed=seed)
+            try:
+                odd_color_minor_closed(g, 2)
+                refused = False
+            except NotDegenerateError:
+                refused = True
+            assert has_k4_minor(g) == refused
+            refusals += refused
+        assert 30 <= refusals <= 270
+
     def test_pipeline_on_outerplanar(self):
         g = random_outerplanar(12, seed=4)
         c, _ = odd_color_k4_minor_free(g)
