@@ -3,9 +3,10 @@
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit
 codes: 0 success, 1 negative verification or infeasible, 2 usage error,
 3 internal failure (an engine invariant broke or the tool rejected its
-own output).  ``discharge``, ``stats`` and ``color --engine reduction``
-exit 2 on a drawing that ``validate`` rejects; ``dot`` draws any
-planarization, valid or not, since it is a debugging view.
+own output).  Every command that reads an embedding file except
+``validate`` and ``dot`` exits 2 on a drawing that ``validate`` rejects;
+``dot`` draws any planarization, valid or not, since it is a debugging
+view.
 
     oddcolor gen --name cycle --n 5 --out c5.graph.json
     oddcolor gen --name random_one_plane --n 30 --p-cross 0.5 --seed 7 --out r.empl.json
@@ -50,18 +51,17 @@ def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _as_graph(thing: Graph | OnePlaneGraph) -> Graph:
-    return underlying_graph(thing) if isinstance(thing, OnePlaneGraph) else thing
-
-
-def _load_valid_embedding(path: str) -> OnePlaneGraph:
-    """The embedding in path; one that ``validate`` rejects raises
+def _valid(emb: OnePlaneGraph) -> OnePlaneGraph:
+    """emb itself; one that ``validate`` rejects raises
     InvalidEmbeddingError naming the first violation."""
-    emb = formats.load_embedding(path)
     bad = validate(emb)
     if bad:
         raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
     return emb
+
+
+def _as_graph(thing: Graph | OnePlaneGraph) -> Graph:
+    return underlying_graph(_valid(thing)) if isinstance(thing, OnePlaneGraph) else thing
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -200,7 +200,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    emb = _load_valid_embedding(args.input)
+    emb = _valid(formats.load_embedding(args.input))
     initial, final, report = discharge(emb)
     _emit(
         {
@@ -215,7 +215,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    emb = _load_valid_embedding(args.input)
+    emb = _valid(formats.load_embedding(args.input))
     g = underlying_graph(emb)
     d, _ = degeneracy_order(g)
     degree_hist = Counter(g.degree(v) for v in g.vertices())

@@ -27,7 +27,10 @@ and the components of the planarization, and the smoothing behind
 Surgeries remove crossings and delete original edges only through
 ``_fuse``, which joins an edge's two segments through a crossing that
 goes away, and ``_delete``, which removes real vertices and original
-edges in one pass and fuses each edge whose crossing partner dies.
+edges in one pass and fuses each edge whose crossing partner dies.  New
+segments are placed only by ``EmbeddingBuilder.add_edge``, just before a
+named segment in each end's rotation: a construction that reroutes a
+segment adds the new ones at its slots and then deletes it.
 """
 
 from __future__ import annotations
@@ -367,7 +370,10 @@ class EmbeddingBuilder:
     """Mutable counterpart of OnePlaneGraph used by surgeries and generators.
 
     Edges carry stable keys; rotations are lists of edge keys.  ``build``
-    renumbers segments canonically (vertex-id order, rotation order).
+    renumbers segments canonically (vertex-id order, rotation order) and
+    keeps each segment's (u, v) orientation as added.  ``add_edge`` is the
+    only way to place a new segment: before a named segment of each end's
+    rotation, or at its end.
     """
 
     def __init__(self) -> None:
@@ -395,33 +401,22 @@ class EmbeddingBuilder:
     def fresh_vertex_id(self) -> int:
         return max(self.kind, default=-1) + 1
 
-    def add_edge(self, u: int, v: int, pos_u: int | None = None, pos_v: int | None = None) -> int:
-        """Insert segment u-v at the given rotation positions (append if None)."""
+    def add_edge(
+        self, u: int, v: int, before_u: int | None = None, before_v: int | None = None
+    ) -> int:
+        """Add segment u-v just before segment before_u in u's rotation and
+        before before_v in v's; at the end of a rotation where None."""
         e = self._next
         self._next += 1
         self.ends[e] = (u, v)
-        self.rot[u].insert(pos_u if pos_u is not None else len(self.rot[u]), e)
-        self.rot[v].insert(pos_v if pos_v is not None else len(self.rot[v]), e)
+        for x, f in ((u, before_u), (v, before_v)):
+            r = self.rot[x]
+            r.insert(len(r) if f is None else r.index(f), e)
         return e
 
     def other_end(self, e: int, v: int) -> int:
         a, b = self.ends[e]
         return b if a == v else a
-
-    def new_edge_key(self, u: int, v: int) -> int:
-        """Allocate a segment without touching any rotation; the caller
-        places it with replace_in_rot or explicit list edits."""
-        e = self._next
-        self._next += 1
-        self.ends[e] = (u, v)
-        return e
-
-    def replace_in_rot(self, v: int, old: int, new: int) -> None:
-        self.rot[v][self.rot[v].index(old)] = new
-
-    def drop_edge_key(self, e: int) -> None:
-        """Forget a segment already removed from all rotations."""
-        del self.ends[e]
 
     def delete_edge(self, e: int) -> None:
         u, v = self.ends.pop(e)
@@ -574,12 +569,7 @@ def insert_crossing(emb: OnePlaneGraph, d_ab: int, d_cd: int) -> OnePlaneGraph:
     """Reroute edge ab to cross edge cd, given darts of the two edges on a
     common face.  Both edges must be uncrossed with four distinct real
     endpoints.  The abstract graph is unchanged."""
-    face = {d_ab}
-    d = emb.face_next(d_ab)
-    while d != d_ab:
-        face.add(d)
-        d = emb.face_next(d)
-    if d_cd not in face:
+    if not any(d_ab in f.darts and d_cd in f.darts for f in emb.faces()):
         raise InvalidEmbeddingError("darts do not share a face")
     a, bb = emb.origin(d_ab), emb.target(d_ab)
     c, dd = emb.origin(d_cd), emb.target(d_cd)
@@ -589,18 +579,11 @@ def insert_crossing(emb: OnePlaneGraph, d_ab: int, d_cd: int) -> OnePlaneGraph:
         raise InvalidEmbeddingError("need disjoint uncrossed real edges")
     b = EmbeddingBuilder.from_embedding(emb)
     e_ab, e_cd = d_ab // 2, d_cd // 2
-    pa = b.rot[a].index(e_ab)
-    pb = b.rot[bb].index(e_ab)
-    pc = b.rot[c].index(e_cd)
-    pd = b.rot[dd].index(e_cd)
     w = b.add_vertex(b.fresh_vertex_id(), VIRTUAL)
-    b.delete_edge(e_ab)
-    b.delete_edge(e_cd)
     # walking the face from a's corner, edge cd is met c-first; the rerouted
     # curve a-w-b leaves the cd side of the face, giving rotation (a, c, b, d)
-    ea = b.add_edge(a, w, pa)
-    ec = b.add_edge(c, w, pc)
-    eb = b.add_edge(bb, w, pb)
-    ed = b.add_edge(dd, w, pd)
-    b.rot[w] = [ea, ec, eb, ed]
+    for x, e in ((a, e_ab), (c, e_cd), (bb, e_ab), (dd, e_cd)):
+        b.add_edge(x, w, e)
+    b.delete_edge(e_ab)
+    b.delete_edge(e_cd)
     return b.build()

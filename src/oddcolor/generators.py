@@ -248,9 +248,9 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
     b = EmbeddingBuilder()
     for v in range(3):
         b.add_vertex(v, REAL)
-    b.add_edge(0, 1)
+    e01 = b.add_edge(0, 1)
     b.add_edge(0, 2)
-    b.add_edge(1, 2, 0)
+    b.add_edge(1, 2, e01)
     owned = _Counts(n)  # faces by smallest vertex; every face is a triangle
     owned.add(0, 2)
     for new in range(3, n):
@@ -264,13 +264,10 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
         darts = list(_face(b, far[j - 1], rot[j - 1]) if j else _face(b, u, rot[0]))
         owned.add(u, -1)
         b.add_vertex(new, REAL)
-        spokes = []
-        for x, e in darts:
-            e_new = b.new_edge_key(x, new)
-            b.rot[x].insert(b.rot[x].index(e), e_new)
-            spokes.append(e_new)
+        # in reverse face order, so that new's rotation runs against the face
+        for x, e in reversed(darts):
+            b.add_edge(x, new, e)
             owned.add(min(x, b.other_end(e, x)), 1)
-        b.rot[new] = spokes[::-1]
 
     owned = _Counts(n)  # segments by smaller end, in rotation order there
     for v in range(n):
@@ -309,13 +306,9 @@ def random_one_plane(n: int, p_cross: float, seed: int) -> OnePlaneGraph:
                 continue
             w = b.add_vertex(next_id, VIRTUAL)
             next_id += 1
-            spokes = []
-            for i in picks:
-                x, ekey = visits[i]
-                e_new = b.new_edge_key(x, w)
-                b.rot[x].insert(b.rot[x].index(ekey), e_new)
-                spokes.append(e_new)
-            b.rot[w] = spokes[::-1]
+            for i in reversed(picks):
+                x, e = visits[i]
+                b.add_edge(x, w, e)
             g_edges.add(chord1)
             g_edges.add(chord2)
             break
@@ -337,21 +330,14 @@ def inject_adjacent_crossing(emb: OnePlaneGraph, v: int, pos: int) -> OnePlaneGr
         raise ValueError("edges must be uncrossed with distinct real far ends")
     t = b.add_vertex(b.fresh_vertex_id(), VIRTUAL)
     # the curves swap starting slots at v and cross once inside the corner:
-    # beta starts in e1's slot but carries edge v-c, alpha starts in e2's
-    # slot and carries edge v-a
-    beta = b.new_edge_key(v, t)
-    alpha = b.new_edge_key(v, t)
-    ta = b.new_edge_key(t, a)
-    tc = b.new_edge_key(t, c)
-    pa = b.rot[a].index(e1)
-    pc = b.rot[c].index(e2)
-    b.replace_in_rot(v, e1, beta)
-    b.replace_in_rot(v, e2, alpha)
-    b.rot[a][pa] = ta
-    b.rot[c][pc] = tc
-    b.drop_edge_key(e1)
-    b.drop_edge_key(e2)
-    b.rot[t] = [alpha, beta, ta, tc]
+    # beta takes e1's slot at v but carries edge v-c, alpha takes e2's slot
+    # and carries edge v-a; t's rotation is (alpha, beta, t-a, t-c)
+    b.add_edge(v, t, e2)  # alpha
+    b.add_edge(v, t, e1)  # beta
+    b.add_edge(t, a, None, e1)
+    b.add_edge(t, c, None, e2)
+    b.delete_edge(e1)
+    b.delete_edge(e2)
     return b.build()
 
 

@@ -50,6 +50,8 @@ def _read_json(text: str, keys: tuple[str, ...] = ()) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("<file>", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("<file>", "JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("<file>", "top level must be an object")
     for key in obj:

@@ -295,13 +295,41 @@ class TestOtherCommands:
         save_embedding(plane_from_rotations(4, rot), p)
         return str(p)
 
-    @pytest.mark.parametrize("command", ["discharge", "stats", "color"])
-    def test_invalid_drawing_is_usage_error(self, torus_k4_file, capsys, command):
-        argv = ["color", "--engine", "reduction"] if command == "color" else [command]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["discharge"], id="discharge"),
+            pytest.param(["stats"], id="stats"),
+            pytest.param(["color", "--engine", "reduction"], id="color"),
+            pytest.param(["color", "--engine", "exact"], id="color-exact"),
+            pytest.param(
+                ["color", "--engine", "minor-closed", "--d", "3"], id="color-minor-closed"
+            ),
+            pytest.param(["chi"], id="chi"),
+        ],
+    )
+    def test_invalid_drawing_is_usage_error(self, torus_k4_file, capsys, argv):
         code, payload, err = run(capsys, *argv, torus_k4_file)
         assert code == 2 and payload is None
         assert "EulerViolation" in err
         assert run(capsys, "validate", torus_k4_file)[0] == 1
+
+    def test_verify_on_invalid_drawing_is_usage_error(
+        self, torus_k4_file, tmp_path, capsys
+    ):
+        # K4 colored 1..4 is an odd coloring of K4, but not of this file
+        col = tmp_path / "k4.coloring.json"
+        save_coloring(Coloring(4, {v: v + 1 for v in range(4)}), col)
+        code, payload, err = run(capsys, "verify", torus_k4_file, str(col))
+        assert code == 2 and payload is None
+        assert "EulerViolation" in err
+
+    @pytest.mark.parametrize("command", ["validate", "chi", "stats"])
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys, command):
+        p = tmp_path / "deep.graph.json"
+        p.write_text('{"version": 1, "n": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, _, err = run(capsys, command, str(p))
+        assert code == 2 and "nested too deeply" in err
 
     def test_dot_draws_an_invalid_drawing(self, torus_k4_file, capsys):
         code = main(["dot", torus_k4_file])

@@ -190,8 +190,8 @@ class TestInsertCrossing:
 
 
 def delete_by_segment(emb, drop):
-    """delete_real_vertices as one builder edit per segment, each a list
-    removal or insertion: the reference the one-pass filter must match."""
+    """delete_real_vertices as one builder edit per segment, each an
+    add_edge or a delete_edge: the reference the one-pass filter must match."""
     dropped = set(drop)
     b = EmbeddingBuilder.from_embedding(emb)
     for w in emb.virtual_vertices():
@@ -204,13 +204,11 @@ def delete_by_segment(emb, drop):
                 b.delete_edge(e)
             if die_a != die_b:
                 # the surviving edge's two segments become one, keeping the
-                # far rotation slots: delete both, then insert x-y there
+                # far rotation slots: add x-y there, then delete both
                 e1, e2 = b.rot[w]
-                x, y = b.other_end(e1, w), b.other_end(e2, w)
-                px, py = b.rot[x].index(e1), b.rot[y].index(e2)
+                b.add_edge(b.other_end(e1, w), b.other_end(e2, w), e1, e2)
                 b.delete_edge(e1)
                 b.delete_edge(e2)
-                b.add_edge(x, y, px, py)
             assert not b.rot.pop(w)  # w is isolated now
             del b.kind[w]
     for v in dropped:

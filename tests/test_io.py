@@ -51,8 +51,11 @@ class TestGraphFile:
             graph_from_text('{"version": 1, "n": 2, "edges": [[0, 5]]}')
 
     def test_not_json(self):
-        with pytest.raises(ParseError):
-            graph_from_text("pentagon")
+        # the second is JSON, but too deeply nested for the parser's recursion
+        deep = '{"version": 1, "n": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        for text in ("pentagon", deep):
+            with pytest.raises(ParseError):
+                graph_from_text(text)
 
 
 class TestEmbeddingFile:

@@ -342,22 +342,16 @@ def insert_crescent_pair(emb, face, start: int):
     x, y, s, t = nid, nid + 1, nid + 2, nid + 3
     for v, k in ((x, REAL), (y, REAL), (s, VIRTUAL), (t, VIRTUAL)):
         b.add_vertex(v, k)
-    a_s = b.new_edge_key(a, s)
-    c_s = b.new_edge_key(c, s)
-    s_x = b.new_edge_key(s, x)
-    s_y = b.new_edge_key(s, y)
-    x_t = b.new_edge_key(x, t)
-    y_t = b.new_edge_key(y, t)
-    t_b = b.new_edge_key(t, bb)
-    t_d = b.new_edge_key(t, d)
-    b.rot[a].insert(b.rot[a].index(ea), a_s)
-    b.rot[c].insert(b.rot[c].index(ec), c_s)
-    b.rot[d].insert(b.rot[d].index(ed), t_d)
-    b.rot[bb].insert(b.rot[bb].index(eb), t_b)
-    b.rot[s] = [c_s, a_s, s_y, s_x]  # crossing of a-x with c-y
-    b.rot[t] = [x_t, y_t, t_b, t_d]  # crossing of x-b with y-d
-    b.rot[x] = [s_x, x_t]
-    b.rot[y] = [s_y, y_t]
+    # added in the order that gives each new vertex its rotation:
+    # s (c, a, y, x) crosses a-x with c-y, t (x, y, b, d) crosses x-b with y-d
+    b.add_edge(c, s, ec)
+    b.add_edge(a, s, ea)
+    b.add_edge(s, y)
+    b.add_edge(s, x)
+    b.add_edge(x, t)
+    b.add_edge(y, t)
+    b.add_edge(t, bb, None, eb)
+    b.add_edge(t, d, None, ed)
     return b.build()
 
 
@@ -370,11 +364,8 @@ def insert_plain_two_vertex(emb, face):
     (p, ep), (q, eq) = visits[0], visits[1]
     assert p != q
     z = b.add_vertex(b.fresh_vertex_id(), REAL)
-    zp = b.new_edge_key(z, p)
-    zq = b.new_edge_key(z, q)
-    b.rot[p].insert(b.rot[p].index(ep), zp)
-    b.rot[q].insert(b.rot[q].index(eq), zq)
-    b.rot[z] = [zq, zp]
+    b.add_edge(z, q, None, eq)
+    b.add_edge(z, p, None, ep)
     return b.build(), z
 
 
