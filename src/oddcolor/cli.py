@@ -29,7 +29,7 @@ from collections import Counter
 
 from . import io as formats
 from .coloring import Coloring, is_odd_coloring
-from .embedding import InvalidEmbeddingError, OnePlaneGraph, underlying_graph, validate
+from .embedding import OnePlaneGraph, require_valid, underlying_graph, validate
 from .exact import INCONCLUSIVE, SearchConfig, chi_o, min_odd_coloring
 from .generators import GENERATORS, gen
 from .graphs import Graph, degeneracy_order
@@ -51,17 +51,8 @@ def _say(msg: str) -> None:
     sys.stderr.write(msg + "\n")
 
 
-def _valid(emb: OnePlaneGraph) -> OnePlaneGraph:
-    """emb itself; one that ``validate`` rejects raises
-    InvalidEmbeddingError naming the first violation."""
-    bad = validate(emb)
-    if bad:
-        raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
-    return emb
-
-
 def _as_graph(thing: Graph | OnePlaneGraph) -> Graph:
-    return underlying_graph(_valid(thing)) if isinstance(thing, OnePlaneGraph) else thing
+    return underlying_graph(require_valid(thing)) if isinstance(thing, OnePlaneGraph) else thing
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -155,7 +146,7 @@ def cmd_color(args) -> int:
         coloring, g, extra = _color_minor_closed(args, thing)
     else:
         coloring, g, extra = _color_exact(args, thing)
-    ok = g.n == 0 or is_odd_coloring(g, coloring)
+    ok = is_odd_coloring(g, coloring)
     payload = {
         "engine": args.engine,
         "k": coloring.k,
@@ -200,7 +191,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    emb = _valid(formats.load_embedding(args.input))
+    emb = require_valid(formats.load_embedding(args.input))
     initial, final, report = discharge(emb)
     _emit(
         {
@@ -215,7 +206,7 @@ def cmd_discharge(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    emb = _valid(formats.load_embedding(args.input))
+    emb = require_valid(formats.load_embedding(args.input))
     g = underlying_graph(emb)
     d, _ = degeneracy_order(g)
     degree_hist = Counter(g.degree(v) for v in g.vertices())

@@ -4,6 +4,10 @@ A drawing of a graph with each edge crossed at most once is stored after
 planarization: every crossing is a degree-4 "virtual" vertex, and the plane
 structure is a rotation system over real + virtual vertices.  Each edge of
 the planarization ("segment") is a pair of darts; dart d's twin is d ^ 1.
+A OnePlaneGraph is constructed from dart rotations laid out as in the
+embedding file (segment i is darts 2i and 2i+1), and its constructor is
+the only place that checks that layout; the builder, the component split,
+the relabeling and the file reader all hand it darts.
 At a virtual vertex the rotation alternates between the two crossing edges,
 so rotation positions (0, 2) belong to one original edge and (1, 3) to the
 other.
@@ -80,14 +84,15 @@ class Face:
 class OnePlaneGraph:
     """Immutable rotation system over real and virtual vertices.
 
-    Construction arguments:
+    Construction arguments, laid out as in the embedding file:
       kinds: vertex id -> REAL | VIRTUAL
-      edges: segment list; segment i joins edges[i][0] and edges[i][1]
-      rot:   vertex id -> cyclic sequence of segment indices (one entry per
-             incidence; loops are not representable and are rejected)
+      rot:   vertex id -> cyclic sequence of the darts leaving it; a vertex
+             without an entry has none
 
-    Dart i of segment e is 2e (at edges[e][0]) or 2e+1 (at edges[e][1]),
-    so dart d starts at edges[d >> 1][d & 1].
+    The darts are 0..2m-1, each in exactly one rotation, and segment i is
+    the pair of darts 2i and 2i+1, so it joins the origins of the two;
+    anything else, and a segment whose darts share their origin (a loop),
+    raises InvalidEmbeddingError.  segments()[i] is that pair of origins.
 
     faces(), components() and the smoothing are derived on first use and
     stored on the instance; later calls return the same immutable values.
@@ -95,47 +100,32 @@ class OnePlaneGraph:
 
     __slots__ = ("_kind", "_edges", "_rot", "_faces", "_components", "_smoothing")
 
-    def __init__(
-        self,
-        kinds: dict[int, str],
-        edges: Sequence[tuple[int, int]],
-        rot: dict[int, Sequence[int]],
-    ):
-        kind = {int(v): k for v, k in kinds.items()}
+    def __init__(self, kinds: Mapping[int, str], rot: Mapping[int, Sequence[int]]):
+        kind = dict(kinds)
         for v, k in kind.items():
             if k not in (REAL, VIRTUAL):
                 raise InvalidEmbeddingError(f"unknown vertex kind {k!r} at {v}")
-        edges_t = tuple((int(u), int(v)) for u, v in edges)
-        for i, (u, v) in enumerate(edges_t):
+        for v in rot:
+            if v not in kind:
+                raise InvalidEmbeddingError(f"rotation of unknown vertex {v}")
+        rot_d = {v: tuple(rot.get(v, ())) for v in kind}
+        origin: list[int | None] = [None] * sum(map(len, rot_d.values()))
+        if len(origin) % 2:
+            raise InvalidEmbeddingError(f"odd dart count {len(origin)}")
+        for v, r in rot_d.items():
+            for d in r:
+                if not 0 <= d < len(origin):
+                    raise InvalidEmbeddingError(f"rotation of {v} names dart {d}")
+                if origin[d] is not None:
+                    raise InvalidEmbeddingError(f"dart {d} appears twice")
+                origin[d] = v
+        # 2m darts, none repeated and none out of range: each appears once
+        edges = tuple(zip(origin[::2], origin[1::2]))
+        for i, (u, v) in enumerate(edges):
             if u == v:
                 raise InvalidEmbeddingError(f"loop segment {i} at vertex {u}")
-            if u not in kind or v not in kind:
-                raise InvalidEmbeddingError(f"segment {i} touches unknown vertex")
-        rot_d: dict[int, tuple[int, ...]] = {}
-        seen: dict[int, list[bool]] = {i: [False, False] for i in range(len(edges_t))}
-        for v in kind:
-            darts = []
-            for e in rot.get(v, ()):
-                e = int(e)
-                if not 0 <= e < len(edges_t):
-                    raise InvalidEmbeddingError(f"rotation of {v} names segment {e}")
-                u0, u1 = edges_t[e]
-                if v == u0 and not seen[e][0]:
-                    seen[e][0] = True
-                    darts.append(2 * e)
-                elif v == u1 and not seen[e][1]:
-                    seen[e][1] = True
-                    darts.append(2 * e + 1)
-                else:
-                    raise InvalidEmbeddingError(
-                        f"segment {e} misplaced in rotation of {v}"
-                    )
-            rot_d[v] = tuple(darts)
-        for e, flags in seen.items():
-            if not all(flags):
-                raise InvalidEmbeddingError(f"segment {e} missing from a rotation")
         object.__setattr__(self, "_kind", kind)
-        object.__setattr__(self, "_edges", edges_t)
+        object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_rot", rot_d)
         self._faces = self._components = self._smoothing = None
 
@@ -306,6 +296,15 @@ def validate(emb: OnePlaneGraph) -> list[Violation]:
     return out
 
 
+def require_valid(emb: OnePlaneGraph) -> OnePlaneGraph:
+    """emb itself; one that ``validate`` rejects raises
+    InvalidEmbeddingError naming the first violation."""
+    bad = validate(emb)
+    if bad:
+        raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
+    return emb
+
+
 def _smooth(emb: OnePlaneGraph) -> tuple[Graph, Mapping[tuple[int, int], int | None]]:
     """The underlying simple graph and the read-only map of g_edges, stored
     on emb; raises InvalidEmbeddingError (with a witness in args[1]) if
@@ -350,20 +349,23 @@ def g_edges(emb: OnePlaneGraph) -> Mapping[tuple[int, int], int | None]:
 # ----------------------------------------------------------------------
 
 
+def neighbor_darts(
+    segments: Iterable[tuple[int, int]], rot: Mapping[int, Sequence[int]]
+) -> dict[int, list[int]]:
+    """Dart rotations from neighbor rotations: segments[i] = (u, v) owns
+    dart 2i at u and 2i+1 at v, and neighbor u in rot[v] names the dart at
+    v of the one segment joining v and u."""
+    dart: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(segments):
+        dart[u, v], dart[v, u] = 2 * i, 2 * i + 1
+    return {v: [dart[v, u] for u in ns] for v, ns in rot.items()}
+
+
 def plane_from_rotations(n: int, rot: dict[int, Sequence[int]]) -> OnePlaneGraph:
     """Crossing-free embedding of a simple graph given neighbor rotations."""
-    edges: list[tuple[int, int]] = []
-    eid: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        for u in rot.get(v, ()):
-            key = (min(u, v), max(u, v))
-            if key not in eid:
-                eid[key] = len(edges)
-                edges.append(key)
-    rot_e = {
-        v: [eid[(min(u, v), max(u, v))] for u in rot.get(v, ())] for v in range(n)
-    }
-    return OnePlaneGraph({v: REAL for v in range(n)}, edges, rot_e)
+    rot = {v: rot.get(v, ()) for v in range(n)}
+    segments = dict.fromkeys((min(u, v), max(u, v)) for v in range(n) for u in rot[v])
+    return OnePlaneGraph({v: REAL for v in range(n)}, neighbor_darts(segments, rot))
 
 
 class EmbeddingBuilder:
@@ -428,16 +430,14 @@ class EmbeddingBuilder:
         self.ends[e] = (new, b) if a == old else (a, new)
 
     def build(self) -> OnePlaneGraph:
-        order: list[int] = []
         index: dict[int, int] = {}
         for v in sorted(self.kind):
             for e in self.rot[v]:
                 if e not in index:
-                    index[e] = len(order)
-                    order.append(e)
-        edges = [self.ends[e] for e in order]
-        rot = {v: [index[e] for e in self.rot[v]] for v in self.kind}
-        return OnePlaneGraph(dict(self.kind), edges, rot)
+                    index[e] = len(index)
+        ends = self.ends
+        rot = {v: [2 * index[e] + (ends[e][0] != v) for e in r] for v, r in self.rot.items()}
+        return OnePlaneGraph(self.kind, rot)
 
 
 # ----------------------------------------------------------------------
@@ -545,13 +545,10 @@ def split_components(emb: OnePlaneGraph) -> list[OnePlaneGraph]:
         return [emb]
     out = []
     for comp in comps:
-        comp_set = set(comp)
-        kinds = {v: emb.kind(v) for v in comp}
-        keep = [i for i, (u, v) in enumerate(emb.segments()) if u in comp_set]
-        remap = {e: i for i, e in enumerate(keep)}
-        edges = [emb.segments()[e] for e in keep]
-        rot = {v: [remap[d // 2] for d in emb.rotation(v)] for v in comp}
-        out.append(OnePlaneGraph(kinds, edges, rot))
+        # a segment's two darts lie in one component, so they stay adjacent
+        new = {d: i for i, d in enumerate(sorted(d for v in comp for d in emb.rotation(v)))}
+        rot = {v: [new[d] for d in emb.rotation(v)] for v in comp}
+        out.append(OnePlaneGraph({v: emb.kind(v) for v in comp}, rot))
     return out
 
 
@@ -560,9 +557,7 @@ def relabel_embedding(emb: OnePlaneGraph, mapping: dict[int, int]) -> OnePlaneGr
     if sorted(mapping) != emb.vertices() or len(set(mapping.values())) != len(mapping):
         raise ValueError("mapping must be a bijection on the vertex set")
     kinds = {mapping[v]: emb.kind(v) for v in emb.vertices()}
-    edges = [(mapping[u], mapping[v]) for u, v in emb.segments()]
-    rot = {mapping[v]: [d // 2 for d in emb.rotation(v)] for v in emb.vertices()}
-    return OnePlaneGraph(kinds, edges, rot)
+    return OnePlaneGraph(kinds, {mapping[v]: emb.rotation(v) for v in emb.vertices()})
 
 
 def insert_crossing(emb: OnePlaneGraph, d_ab: int, d_cd: int) -> OnePlaneGraph:

@@ -37,6 +37,7 @@ from .embedding import (
     VIRTUAL,
     EmbeddingBuilder,
     OnePlaneGraph,
+    neighbor_darts,
     plane_from_rotations,
     validate,
 )
@@ -65,10 +66,8 @@ def _frozen(
     sees its neighbors in the cyclic order rotations[v]; ids from reals on
     are crossings.  No two segments join the same pair of vertices, so a
     neighbor names its segment."""
-    seg = {frozenset(e): i for i, e in enumerate(segments)}
     kinds = {v: REAL if v < reals else VIRTUAL for v in range(len(rotations))}
-    rot = {v: [seg[frozenset((v, u))] for u in ns] for v, ns in enumerate(rotations)}
-    return _checked(OnePlaneGraph(kinds, segments, rot))
+    return _checked(OnePlaneGraph(kinds, neighbor_darts(segments, dict(enumerate(rotations)))))
 
 
 # The subdivided K7.  K7 is drawn as the pentagon 0..4 (counterclockwise)

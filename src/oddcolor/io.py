@@ -184,35 +184,19 @@ def embedding_from_text(text: str) -> OnePlaneGraph:
     for i, pair in enumerate(twins):
         if pair != [2 * i, 2 * i + 1] or not all(type(d) is int for d in pair):
             raise ParseError(f"twins[{i}]", f"expected [{2 * i}, {2 * i + 1}]")
-    n_seg = len(twins)
     rotations = _need(obj, "rotations", dict)
-    rot_darts: dict[int, list[int]] = {}
+    rot: dict[int, list[int]] = {}
     for key, darts in rotations.items():
         v = _key(key, f"rotations.{key}")
-        if v not in kinds:
-            raise ParseError(f"rotations.{key}", "unknown vertex")
         if not isinstance(darts, list) or not all(type(d) is int for d in darts):
             raise ParseError(f"rotations.{key}", "expected a list of dart ids")
-        rot_darts[v] = darts
-    if set(rot_darts) != set(kinds):
+        rot[v] = darts
+    if set(rot) != set(kinds):
         raise ParseError("rotations", "must cover every vertex exactly once")
-    ends: dict[int, list[int | None]] = {e: [None, None] for e in range(n_seg)}
-    for v, darts in rot_darts.items():
-        for d in darts:
-            if not 0 <= d < 2 * n_seg:
-                raise ParseError(f"rotations.{v}", f"dart {d} out of range")
-            if ends[d // 2][d % 2] is not None:
-                raise ParseError(f"rotations.{v}", f"dart {d} appears twice")
-            ends[d // 2][d % 2] = v
-    edges = []
-    for e in range(n_seg):
-        a, b = ends[e]
-        if a is None or b is None:
-            raise ParseError("twins", f"segment {e} missing a dart")
-        edges.append((a, b))
-    rot_edges = {v: [d // 2 for d in darts] for v, darts in rot_darts.items()}
+    if sum(map(len, rot.values())) != 2 * len(twins):
+        raise ParseError("twins", f"{len(twins)} segments need {2 * len(twins)} darts")
     try:
-        emb = OnePlaneGraph(kinds, edges, rot_edges)
+        emb = OnePlaneGraph(kinds, rot)
     except ValueError as exc:
         raise ParseError("rotations", str(exc)) from None
     stored = _need(obj, "virtual_pairs", dict)

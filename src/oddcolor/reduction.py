@@ -54,16 +54,15 @@ from . import discharging
 from .coloring import Coloring, EngineInvariantError, OddTracker, is_odd_coloring
 from .embedding import (
     EmbeddingBuilder,
-    InvalidEmbeddingError,
     OnePlaneGraph,
     _fuse,
     contract_uncrossed_edge,
     delete_g_edge,
     delete_real_vertices,
     g_edges,
+    require_valid,
     split_components,
     underlying_graph,
-    validate,
 )
 from .graphs import Graph, bridges, connected_components
 
@@ -414,16 +413,14 @@ def odd_color_1planar(
     K below 23 voids the completeness guarantee and is rejected."""
     if t.K < 23:
         raise ValueError("palette below 23 voids the completeness guarantee")
-    bad = validate(emb)
-    if bad:
-        raise InvalidEmbeddingError(f"invalid embedding: {bad[0]}")
+    require_valid(emb)
     trace = ReductionTrace()
     tracker = OddTracker(None, t.K)
     for cfg, row, aux in reversed(_reduce(emb, t, trace, tracker)):
         _extend(cfg, row, aux, tracker)
     c = tracker.as_coloring()
     g = underlying_graph(emb)
-    if g.n and not is_odd_coloring(g, c):
+    if not is_odd_coloring(g, c):
         raise EngineInvariantError("engine emitted a non-odd coloring")
     return c, trace
 

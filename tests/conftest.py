@@ -39,7 +39,7 @@ def embedding_cases() -> list:
     vertex, an empty rotation, crossing-free and crossed random instances,
     and K7*."""
     return [
-        pytest.param(OnePlaneGraph({}, [], {}), id="empty"),
+        pytest.param(OnePlaneGraph({}, {}), id="empty"),
         pytest.param(path_embedding(1), id="path_embedding(1)"),
         pytest.param(random_one_plane(40, 0.0, seed=5), id="random_one_plane(40, 0.0, 5)"),
         pytest.param(random_one_plane(40, 0.5, seed=6), id="random_one_plane(40, 0.5, 6)"),

@@ -71,8 +71,7 @@ class TestInitialCharges:
     def test_disconnected_rejected(self):
         disconnected = OnePlaneGraph(
             {0: REAL, 1: REAL, 2: REAL, 3: REAL},
-            [(0, 1), (2, 3)],
-            {0: [0], 1: [0], 2: [1], 3: [1]},
+            {0: [0], 1: [1], 2: [2], 3: [3]},
         )
         with pytest.raises(NotConnectedError):
             initial_charges(disconnected)

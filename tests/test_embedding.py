@@ -47,9 +47,8 @@ from oddcolor.reduction import (
 def one_crossing_pair() -> OnePlaneGraph:
     """Edges 0-1 and 2-3 crossing once at virtual 4."""
     kinds = {0: REAL, 1: REAL, 2: REAL, 3: REAL, 4: VIRTUAL}
-    edges = [(0, 4), (4, 1), (2, 4), (4, 3)]
-    rot = {0: [0], 1: [1], 2: [2], 3: [3], 4: [0, 2, 1, 3]}
-    return OnePlaneGraph(kinds, edges, rot)
+    rot = {0: [0], 1: [3], 2: [4], 3: [7], 4: [1, 5, 2, 6]}
+    return OnePlaneGraph(kinds, rot)
 
 
 class TestFaces:
@@ -99,21 +98,19 @@ class TestValidate:
 
     def test_degree_three_virtual(self):
         kinds = {0: REAL, 1: REAL, 2: REAL, 3: VIRTUAL}
-        edges = [(0, 3), (1, 3), (2, 3)]
-        rot = {0: [0], 1: [1], 2: [2], 3: [0, 1, 2]}
-        bad = validate(OnePlaneGraph(kinds, edges, rot))
+        rot = {0: [0], 1: [2], 2: [4], 3: [1, 3, 5]}
+        bad = validate(OnePlaneGraph(kinds, rot))
         assert any(v.code == "VirtualDegree" and v.subject == (3,) for v in bad)
 
     def test_virtual_virtual_edge(self):
         kinds = {0: REAL, 1: REAL, 2: VIRTUAL, 3: VIRTUAL}
-        edges = [(0, 2), (1, 2), (2, 3), (0, 3), (1, 3), (0, 1)]
         rot = {
-            0: [0, 3, 5],
-            1: [1, 4, 5],
-            2: [0, 1, 2],
-            3: [2, 3, 4],
+            0: [0, 6, 10],
+            1: [2, 8, 11],
+            2: [1, 3, 4],
+            3: [5, 7, 9],
         }
-        bad = validate(OnePlaneGraph(kinds, edges, rot))
+        bad = validate(OnePlaneGraph(kinds, rot))
         assert any(v.code == "VirtualVirtualEdge" for v in bad)
 
     def test_generated_k7_star_clean(self):
@@ -125,9 +122,20 @@ class TestValidate:
         emb = plane_from_rotations(4, rot)
         assert any(v.code == "EulerViolation" for v in validate(emb))
 
-    def test_loop_segment_rejected_at_construction(self):
+    @pytest.mark.parametrize(
+        "kinds, rot",
+        [
+            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [1, 2]}, id="odd-dart-count"),
+            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [2]}, id="dart-out-of-range"),
+            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [0]}, id="repeated-dart"),
+            pytest.param({0: REAL}, {0: [0, 1]}, id="loop"),
+            pytest.param({0: REAL}, {0: [], 5: []}, id="unknown-vertex"),
+            pytest.param({0: "ghost"}, {0: []}, id="unknown-kind"),
+        ],
+    )
+    def test_dart_layout_checked_at_construction(self, kinds, rot):
         with pytest.raises(InvalidEmbeddingError):
-            OnePlaneGraph({0: REAL}, [(0, 0)], {0: [0, 0]})
+            OnePlaneGraph(kinds, rot)
 
 
 class TestUnderlying:
@@ -312,12 +320,11 @@ class TestSurgery:
         a = cycle_embedding(3)
         b = relabel_embedding(cycle_embedding(3), {0: 3, 1: 4, 2: 5})
         kinds = {v: REAL for v in range(6)}
-        edges = list(a.segments()) + [(u, v) for u, v in b.segments()]
-        rot = {v: [d // 2 for d in a.rotation(v)] for v in a.vertices()}
+        rot = {v: list(a.rotation(v)) for v in a.vertices()}
         rot.update(
-            {v: [d // 2 + 3 for d in b.rotation(v)] for v in b.vertices()}
+            {v: [d + 6 for d in b.rotation(v)] for v in b.vertices()}
         )
-        both = OnePlaneGraph(kinds, edges, rot)
+        both = OnePlaneGraph(kinds, rot)
         assert validate(both) == []  # Euler holds per component
         parts = split_components(both)
         assert [sorted(p.vertices()) for p in parts] == [[0, 1, 2], [3, 4, 5]]

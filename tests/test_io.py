@@ -247,6 +247,10 @@ class TestStrictReaders:
         with pytest.raises(ParseError, match="duplicate vertex"):
             _load_edited("embedding", _set("vertices", 1, "id", 0))
 
+    def test_twins_must_match_dart_count(self):
+        with pytest.raises(ParseError, match="^twins: "):
+            _load_edited("embedding", lambda obj: obj["twins"].pop())
+
 
 class TestLoadAnyAndDot:
     def test_load_any(self, tmp_path):

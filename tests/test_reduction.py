@@ -110,7 +110,7 @@ class TestFindReducible:
         from oddcolor.embedding import OnePlaneGraph, REAL
 
         two = OnePlaneGraph({0: REAL, 1: REAL, 2: REAL, 3: REAL},
-                            [(0, 1), (2, 3)], {0: [0], 1: [0], 2: [1], 3: [1]})
+                            {0: [0], 1: [1], 2: [2], 3: [3]})
         with pytest.raises(ValueError):
             find_reducible(two)
 
@@ -121,7 +121,7 @@ class TestFindReducible:
         from oddcolor.embedding import OnePlaneGraph, REAL
         from oddcolor.reduction import NoConfigFoundError
 
-        lone = OnePlaneGraph({0: REAL}, [], {0: []})
+        lone = OnePlaneGraph({0: REAL}, {0: []})
         with pytest.raises(NoConfigFoundError) as exc:
             find_reducible(lone)
         assert exc.value.report is not None
@@ -213,9 +213,9 @@ def path_crossed_by_second_component(n: int = 60):
     kinds[w] = VIRTUAL
     edges = [(i, i + 1) for i in range(n - 1) if i != 2]
     edges += [(2, w), (w, 3), (a, w), (w, b)]
-    rot = {v: [i for i, e in enumerate(edges) if v in e] for v in kinds}
-    rot[w] = [edges.index(e) for e in ((2, w), (a, w), (w, 3), (w, b))]
-    return OnePlaneGraph(kinds, edges, rot)
+    rot = {v: [2 * i + (e[0] != v) for i, e in enumerate(edges) if v in e] for v in kinds}
+    rot[w] = [2 * edges.index(e) + (e[0] != w) for e in ((2, w), (a, w), (w, 3), (w, b))]
+    return OnePlaneGraph(kinds, rot)
 
 
 class TestEngine:
@@ -527,7 +527,7 @@ def test_forced_bridge_pinned(monkeypatch):
 
 def test_every_pick_passes_check_config(monkeypatch):
     picks = _checked_picks(monkeypatch)
-    cases = [(emb, t) for _, emb, t in _pinned_cases()]
+    cases = [(emb, t) for _, emb, t in _pinned_cases()] + [(OnePlaneGraph({}, {}), Thresholds())]
     for i, (n, p_cross) in enumerate(itertools.product((50, 100), (0.0, 0.5, 1.0))):
         cases += [(random_one_plane(n, p_cross, seed=600 + 5 * i + j), Thresholds()) for j in range(5)]
     for emb, t in cases:
