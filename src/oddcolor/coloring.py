@@ -137,13 +137,15 @@ class OddTracker:
     """Per-vertex tables: how many colored neighbors carry each color.
 
     ``neighbor_colors(v)[c]`` counts v's colored neighbors of color c (a
-    list over 0..k) and ``num_odd(v)`` the colors of odd count, so tau_o
-    is O(1) unless exactly one color is odd.  With a graph g, the exact
-    solver colors and uncolors g's vertices by assign/unassign, which also
-    count uncolored neighbors (``check_against_recompute`` is the debug
-    mode).  With g None the tables start empty, and the constructive
-    engines unwind their logs by restore, extend and unmerge, passing each
-    vertex's neighbor row instead of a graph.
+    list over 0..k), ``num_odd(v)`` the colors of odd count, and a third
+    table the XOR of those colors, so tau_o is O(1): it is that XOR when
+    exactly one color is odd.  Every count change toggles the XOR.  With a
+    graph g, the exact solver colors and uncolors g's vertices by
+    assign/unassign, which also count uncolored neighbors and distinct
+    neighbor colors (``check_against_recompute`` is the debug mode).  With
+    g None the tables start empty, and the constructive engines unwind
+    their logs by restore, extend and unmerge, passing each vertex's
+    neighbor row instead of a graph.
     """
 
     def __init__(self, g: Graph | None, k: int):
@@ -153,57 +155,65 @@ class OddTracker:
         vs = g.vertices() if g is not None else ()
         self._counts: dict[int, list[int]] = {v: [0] * (k + 1) for v in vs}
         self._num_odd: dict[int, int] = dict.fromkeys(vs, 0)
+        self._odd_xor: dict[int, int] = dict.fromkeys(vs, 0)
+        self._distinct: dict[int, int] = dict.fromkeys(vs, 0)
         self._uncolored_nbrs: dict[int, int] = {v: g.degree(v) for v in vs}
 
     def assign(self, v: int, color: int) -> None:
         if v in self.color:
             raise ValueError(f"vertex {v} is already colored")
         self.color[v] = color
-        counts, num_odd, uncolored = self._counts, self._num_odd, self._uncolored_nbrs
-        for u in self.g.neighbors(v):
-            cnt = counts[u]
-            cnt[color] += 1
-            num_odd[u] += 1 if cnt[color] & 1 else -1
-            uncolored[u] -= 1
+        self._count(v, color, 1)
 
     def unassign(self, v: int) -> None:
-        color = self.color.pop(v)
-        counts, num_odd, uncolored = self._counts, self._num_odd, self._uncolored_nbrs
+        self._count(v, self.color.pop(v), -1)
+
+    def _count(self, v: int, color: int, step: int) -> None:
+        """Add step (1 or -1) to color's count at every neighbor of v."""
+        counts, num_odd, odd_xor = self._counts, self._num_odd, self._odd_xor
+        distinct, uncolored = self._distinct, self._uncolored_nbrs
         for u in self.g.neighbors(v):
             cnt = counts[u]
-            cnt[color] -= 1
-            num_odd[u] += 1 if cnt[color] & 1 else -1
-            uncolored[u] += 1
+            m = cnt[color] = cnt[color] + step
+            num_odd[u] += 1 if m & 1 else -1
+            odd_xor[u] ^= color
+            if m == (step == 1):  # the count rose to 1 or fell to 0
+                distinct[u] += step
+            uncolored[u] -= step
 
     def restore(self, v: int, row: Iterable[int]) -> None:
         """Tabulate v from its neighbor row, counting the colored ones; no
         other table changes."""
         color = self.color
         cnt = [0] * (self.k + 1)
-        odd = 0
+        odd = xor = 0
         for u in row:
             cu = color.get(u)
             if cu is not None:
                 cnt[cu] += 1
                 odd += 1 if cnt[cu] & 1 else -1
+                xor ^= cu
         self._counts[v] = cnt
         self._num_odd[v] = odd
+        self._odd_xor[v] = xor
 
     def extend(self, v: int, row: Collection[int], extra: Iterable[int] = ()) -> int:
         """Color v by the rule of ``greedy_extend`` and return the color:
         the smallest one outside ``extra`` (None there bans nothing), the
         colors on row and their tau_o.  Every vertex of row is colored."""
         color, counts, num_odd = self.color, self._counts, self._num_odd
+        odd_xor = self._odd_xor
         cnt = [0] * (self.k + 1)
-        odd = 0
+        odd = xor = 0
         banned = set(extra)
         for u in row:
             cu = color[u]
             cnt[cu] += 1
             odd += 1 if cnt[cu] & 1 else -1
+            xor ^= cu
             banned.add(cu)
             if num_odd[u] == 1:
-                banned.add(self.tau_o(u))
+                banned.add(odd_xor[u])
         c = smallest_free(banned, self.k)
         if c is None:
             raise EngineInvariantError(
@@ -212,10 +222,12 @@ class OddTracker:
         color[v] = c
         counts[v] = cnt
         num_odd[v] = odd
+        odd_xor[v] = xor
         for u in row:
             tu = counts[u]
             tu[c] += 1
             num_odd[u] += 1 if tu[c] & 1 else -1
+            odd_xor[u] ^= c
         return c
 
     def unmerge(self, x: int, y: int, row: Collection[int], gained: Iterable[int]) -> None:
@@ -223,15 +235,18 @@ class OddTracker:
         colored by ``extend`` over its row, and y's color must occur
         exactly once on N(x), which keeps x's neighborhood odd."""
         color, counts, num_odd = self.color, self._counts, self._num_odd
+        odd_xor = self._odd_xor
         cy = color[y]
         ty = counts[y]
         for w in gained:
             cw = color[w]
             ty[cw] -= 1
             num_odd[y] += 1 if ty[cw] & 1 else -1
+            odd_xor[y] ^= cw
             tw = counts[w]
             tw[cy] -= 1
             num_odd[w] += 1 if tw[cy] & 1 else -1
+            odd_xor[w] ^= cy
         self.extend(x, row)
         if counts[x][cy] != 1:
             raise EngineInvariantError(
@@ -241,9 +256,6 @@ class OddTracker:
     def num_odd(self, v: int) -> int:
         return self._num_odd[v]
 
-    def uncolored_neighbors(self, v: int) -> int:
-        return self._uncolored_nbrs[v]
-
     def neighbor_colors(self, v: int) -> list[int]:
         return self._counts[v]
 
@@ -251,12 +263,7 @@ class OddTracker:
         return {c for c, m in enumerate(self._counts[v]) if m & 1}
 
     def tau_o(self, v: int) -> int | None:
-        if self._num_odd[v] != 1:
-            return None
-        for c, m in enumerate(self._counts[v]):
-            if m & 1:
-                return c
-        raise EngineInvariantError("odd count desynchronized")
+        return self._odd_xor[v] if self._num_odd[v] == 1 else None
 
     def as_coloring(self) -> Coloring:
         return Coloring(self.k, self.color)
@@ -267,11 +274,17 @@ class OddTracker:
         color = self.color
         for v in self.g.vertices():
             fresh = [0] * (self.k + 1)  # slot 0 counts the uncolored
+            xor = 0
             for u in self.g.neighbors(v):
-                fresh[color.get(u, 0)] += 1
-            if fresh[1:] != self._counts[v][1:]:
-                raise EngineInvariantError(f"counts differ at {v}")
-            if self._num_odd[v] != sum(m & 1 for m in fresh[1:]):
-                raise EngineInvariantError(f"odd count differs at {v}")
-            if self._uncolored_nbrs[v] != fresh[0]:
-                raise EngineInvariantError(f"uncolored count differs at {v}")
+                cu = color.get(u, 0)
+                fresh[cu] += 1
+                xor ^= cu
+            cnt = fresh[1:]
+            want = (cnt, sum(m & 1 for m in cnt), xor, sum(map(bool, cnt)), fresh[0])
+            got = (self._counts[v][1:], self._num_odd[v], self._odd_xor[v],
+                   self._distinct[v], self._uncolored_nbrs[v])
+            if got != want:
+                raise EngineInvariantError(
+                    f"tables at {v} (counts, odd, XOR, distinct, uncolored) are"
+                    f" {got}, a recount gives {want}"
+                )

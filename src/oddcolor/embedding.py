@@ -363,8 +363,8 @@ def neighbor_darts(
 
 def plane_from_rotations(n: int, rot: dict[int, Sequence[int]]) -> OnePlaneGraph:
     """Crossing-free embedding of a simple graph given neighbor rotations."""
-    rot = {v: rot.get(v, ()) for v in range(n)}
-    segments = dict.fromkeys((min(u, v), max(u, v)) for v in range(n) for u in rot[v])
+    rot = {**dict.fromkeys(range(n), ()), **rot}
+    segments = dict.fromkeys((min(u, v), max(u, v)) for v, ns in rot.items() for u in ns)
     return OnePlaneGraph({v: REAL for v in range(n)}, neighbor_darts(segments, rot))
 
 

@@ -7,18 +7,25 @@ already see a color an odd number of times -- u's own color can never
 repair its neighborhood, so such a branch is dead.
 
 Each node branches on the uncolored vertex with the smallest domain.  v's
-domain is 1..min(k, max_used + 1) minus the colors on N(v) and, under the
-forward check, minus tau_o(u) for each neighbor u whose only uncolored
-neighbor is v: taking that color would leave u with no odd color.  Ties go
-to the most colored neighbors, then the highest degree, then the lowest
-id; an empty domain backtracks without spending a node.  Only a vertex
-within distance 2 of a colored vertex can have a smaller domain than the
-whole palette (the tau_o bans reach across an uncolored neighbor), so the
-candidates are those vertices, kept incrementally under assign and
-unassign; when there are none (at the start, and after a component is
-finished) the pick is the first uncolored vertex by (-degree, id).  On the
-subdivided complete graphs this finds the pigeonhole clash between branch
-vertices at once, whatever the vertex labels.
+domain is 1..top, top = min(k, max_used + 1), minus the colors on N(v)
+and, under the forward check, minus tau_o(u) for each neighbor u whose
+only uncolored neighbor is v: taking that color would leave u with no odd
+color.  Its size is read off the ``OddTracker`` tables without a recount:
+top, less the number of distinct colors on N(v), less those bans that no
+neighbor of v carries (tau_o is an O(1) lookup).  Colors are listed only
+for the vertex picked.  Ties go to the most colored neighbors, then the
+highest degree, then the lowest id; an empty domain backtracks without
+spending a node.  Only a vertex within distance 2 of a colored vertex can
+have a smaller domain than the whole palette (the tau_o bans reach across
+an uncolored neighbor), so the candidates are those vertices, kept
+incrementally under assign and unassign; when there are none (at the
+start, and after a component is finished) the pick is the first uncolored
+vertex by (-degree, id).  On the subdivided complete graphs this finds the
+pigeonhole clash between branch vertices at once, whatever the vertex
+labels.
+
+Isolated vertices are left out of the search: no condition involves them,
+and each takes color 1, which is in every palette.
 
 Results are three-valued: a witness coloring, None for a completed refutation,
 or INCONCLUSIVE when the node limit was hit before the search finished.
@@ -67,9 +74,13 @@ class SearchConfig:
 
 
 def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusive:
+    """Search g, which has no isolated vertex, for an odd k-coloring."""
     tracker = OddTracker(g, k)
     colored = tracker.color
-    uncolored = tracker.uncolored_neighbors
+    # the tracker's tables, read directly at every candidate of every pick
+    counts, num_odd, odd_xor = tracker._counts, tracker._num_odd, tracker._odd_xor
+    distinct, uncolored = tracker._distinct, tracker._uncolored_nbrs
+    fc = cfg.forward_check
     adj = {v: g.neighbors(v) for v in g.vertices()}
     deg = {v: len(ns) for v, ns in adj.items()}
     n = g.n
@@ -84,14 +95,21 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
     frontier: set[int] = set()
     by_degree = sorted(adj, key=lambda v: (-deg[v], v))
 
-    def place(v: int, color: int) -> None:
+    def place(v: int, color: int) -> bool:
+        """Color v; False when the forward check finds a vertex of N[v]
+        whose neighborhood is all colored with no odd color: its own
+        pending color never enters its neighborhood, so it is beyond repair."""
         tracker.assign(v, color)
         frontier.discard(v)
+        alive = not fc or uncolored[v] or num_odd[v]
         for u in adj[v]:
+            if fc and not (uncolored[u] or num_odd[u]):
+                alive = False
             for w in (u, *adj[u]):
                 near[w] += 1
                 if w not in colored:
                     frontier.add(w)
+        return alive
 
     def unplace(v: int) -> None:
         tracker.unassign(v)
@@ -102,18 +120,6 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
                     frontier.discard(w)
         if near[v]:
             frontier.add(v)
-
-    def banned(v: int) -> set[int]:
-        # the colors on N(v), and under the forward check the unique odd
-        # color of each neighbor whose last uncolored neighbor is v: v taking
-        # it would leave that neighbor with none.  All are used colors, so
-        # all lie inside the palette of every pick.
-        out = {c for c, m in enumerate(tracker.neighbor_colors(v)) if m}
-        if cfg.forward_check:
-            for u in adj[v]:
-                if uncolored(u) == 1 and tracker.num_odd(u) == 1:
-                    out.add(tracker.tau_o(u))
-        return out
 
     def pick(max_used: int, start: int) -> tuple[int, list[int], int]:
         """The uncolored vertex with the smallest domain (then most colored
@@ -126,25 +132,23 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
             while by_degree[start] in colored:
                 start += 1
             return by_degree[start], list(range(1, top + 1)), start
+        # out: the tau_o bans on v that no neighbor of v carries.  Every
+        # banned color is a used one, so all lie inside 1..top.
         best = None
         for v in frontier:
-            out = banned(v)
-            key = (top - len(out), uncolored(v) - deg[v], -deg[v], v)
+            cv = counts[v]
+            out = ()
+            if fc:
+                for u in adj[v]:
+                    if uncolored[u] == 1 and num_odd[u] == 1:
+                        t = odd_xor[u]
+                        if not cv[t] and t not in out:
+                            out = (*out, t)
+            key = (top - distinct[v] - len(out), uncolored[v] - deg[v], -deg[v], v)
             if best is None or key < best:
                 best, best_out = key, out
-        return best[3], [c for c in range(1, top + 1) if c not in best_out], start
-
-    def consistent_after(v: int) -> bool:
-        # a vertex whose whole neighborhood is colored with no odd color is
-        # beyond repair: its own pending color never enters its neighborhood
-        if not cfg.forward_check:
-            return True
-        if g.degree(v) > 0 and uncolored(v) == 0 and tracker.num_odd(v) == 0:
-            return False
-        for u in g.neighbors(v):
-            if uncolored(u) == 0 and tracker.num_odd(u) == 0:
-                return False
-        return True
+        v, cv = best[3], counts[best[3]]
+        return v, [c for c in range(1, top + 1) if not cv[c] and c not in best_out], start
 
     witness = None
     # frame: the branch vertex, the colors left to try on it, the largest
@@ -162,8 +166,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         nodes += 1
         if limit is not None and nodes > limit:
             return INCONCLUSIVE
-        place(v, color)
-        if consistent_after(v):
+        if place(v, color):
             if len(colored) < n:
                 used = max(max_used, color)
                 u, dom, nxt = pick(used, start)
@@ -172,12 +175,10 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
                     continue
             else:
                 c = tracker.as_coloring()
-                if cfg.forward_check or is_odd_coloring(g, c):
+                if fc or is_odd_coloring(g, c):
                     witness = c
                     break
         unplace(v)
-    if witness is not None and not is_odd_coloring(g, witness):
-        raise EngineInvariantError("search returned a non-odd witness")
     return witness
 
 
@@ -188,9 +189,16 @@ def exists_odd_k_coloring(
     INCONCLUSIVE when the node limit stopped the search."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if g.n == 0:
-        return Coloring(k, {})
-    return _search(g, k, cfg)
+    # no condition involves an isolated vertex, and color 1 is in every palette
+    isolated = [v for v in g.vertices() if not g.neighbors(v)]
+    rest = g.delete_vertices(isolated) if isolated else g
+    got = _search(rest, k, cfg) if rest.n else Coloring(k, {})
+    if isinstance(got, Coloring):
+        if isolated:
+            got = Coloring(k, {**got.assign, **dict.fromkeys(isolated, 1)})
+        if not is_odd_coloring(g, got):
+            raise EngineInvariantError("search returned a non-odd witness")
+    return got
 
 
 def min_odd_coloring(

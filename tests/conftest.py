@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oddcolor.coloring import tau_o
 from oddcolor.embedding import OnePlaneGraph
 from oddcolor.generators import k7_star_embedding, path_embedding, random_one_plane
 from oddcolor.graphs import Graph
@@ -23,8 +24,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
-    """Each given vertex of g (default: all) has the color counts and odd
-    count that a recount over its colored neighbors in g gives."""
+    """Each given vertex of g (default: all) has the color counts, odd
+    count and tau_o that a recount over its colored neighbors in g gives."""
+    c = tracker.as_coloring()
     for v in g.vertices() if vertices is None else vertices:
         want = [0] * (tracker.k + 1)
         for u in g.neighbors(v):
@@ -32,6 +34,7 @@ def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
                 want[tracker.color[u]] += 1
         assert tracker.neighbor_colors(v) == want, v
         assert tracker.num_odd(v) == sum(m % 2 for m in want), v
+        assert tracker.tau_o(v) == tau_o(g, c, v), v
 
 
 def embedding_cases() -> list:

@@ -123,19 +123,24 @@ class TestValidate:
         assert any(v.code == "EulerViolation" for v in validate(emb))
 
     @pytest.mark.parametrize(
-        "kinds, rot",
+        "build",
         [
-            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [1, 2]}, id="odd-dart-count"),
-            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [2]}, id="dart-out-of-range"),
-            pytest.param({0: REAL, 1: REAL}, {0: [0], 1: [0]}, id="repeated-dart"),
-            pytest.param({0: REAL}, {0: [0, 1]}, id="loop"),
-            pytest.param({0: REAL}, {0: [], 5: []}, id="unknown-vertex"),
-            pytest.param({0: "ghost"}, {0: []}, id="unknown-kind"),
+            pytest.param(lambda: OnePlaneGraph({0: REAL, 1: REAL}, {0: [0], 1: [1, 2]}), id="odd-dart-count"),
+            pytest.param(lambda: OnePlaneGraph({0: REAL, 1: REAL}, {0: [0], 1: [2]}), id="dart-out-of-range"),
+            pytest.param(lambda: OnePlaneGraph({0: REAL, 1: REAL}, {0: [0], 1: [0]}), id="repeated-dart"),
+            pytest.param(lambda: OnePlaneGraph({0: REAL}, {0: [0, 1]}), id="loop"),
+            pytest.param(lambda: OnePlaneGraph({0: REAL}, {0: [], 5: []}), id="unknown-vertex"),
+            pytest.param(lambda: OnePlaneGraph({0: "ghost"}, {0: []}), id="unknown-kind"),
+            # a rotation keyed outside 0..n-1 is passed on, never dropped
+            pytest.param(
+                lambda: plane_from_rotations(2, {0: [1], 1: [0], 5: [0, 1]}),
+                id="neighbor-rotation-beyond-n",
+            ),
         ],
     )
-    def test_dart_layout_checked_at_construction(self, kinds, rot):
+    def test_dart_layout_checked_at_construction(self, build):
         with pytest.raises(InvalidEmbeddingError):
-            OnePlaneGraph(kinds, rot)
+            build()
 
 
 class TestUnderlying:

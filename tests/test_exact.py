@@ -153,6 +153,16 @@ class TestConfig:
         assert got is INCONCLUSIVE
         assert chi_o(cycle(5), SearchConfig(node_limit=3)) is INCONCLUSIVE
 
+    def test_isolated_vertices_cost_no_node(self, levels):
+        # a 3-vertex path among 1,997 isolated vertices searches like path(3)
+        g = Graph.from_edges(2000, [(0, 1), (1, 2)])
+        assert chi_o(g, SearchConfig(max_k=5, node_limit=500)) == 3
+        levels.clear()
+        w = exists_odd_k_coloring(g, 3)
+        exists_odd_k_coloring(path(3), 3)
+        assert levels[0] == levels[1]
+        assert is_odd_coloring(g, w) and {w.assign[v] for v in range(3, 2000)} == {1}
+
     def test_max_k_short_circuit(self):
         assert chi_o(cycle(5), SearchConfig(max_k=3)) is INCONCLUSIVE
 
