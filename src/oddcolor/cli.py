@@ -167,7 +167,10 @@ def cmd_color(args) -> int:
 def cmd_verify(args) -> int:
     g = _as_graph(formats.load_any(args.graph))
     c = formats.load_coloring(args.coloring)
+    stray = sorted(v for v in c.assign if v not in g)
     try:
+        if stray:
+            raise ValueError(f"coloring names vertices the graph lacks: {stray}")
         ok = is_odd_coloring(g, c)
     except Exception as exc:
         _emit({"valid": False, "error": str(exc)})

@@ -142,7 +142,7 @@ class OddTracker:
     exactly one color is odd.  Every count change toggles the XOR.  With a
     graph g, the exact solver colors and uncolors g's vertices by
     assign/unassign, which also count uncolored neighbors and distinct
-    neighbor colors (``check_against_recompute`` is the debug mode).  With
+    neighbor colors.  With
     g None the tables start empty, and the constructive engines unwind
     their logs by restore, extend and unmerge, passing each vertex's
     neighbor row instead of a graph.
@@ -267,24 +267,3 @@ class OddTracker:
 
     def as_coloring(self) -> Coloring:
         return Coloring(self.k, self.color)
-
-    def check_against_recompute(self) -> None:
-        """Full recomputation cross-check of every incremental table;
-        raises EngineInvariantError on the first mismatch."""
-        color = self.color
-        for v in self.g.vertices():
-            fresh = [0] * (self.k + 1)  # slot 0 counts the uncolored
-            xor = 0
-            for u in self.g.neighbors(v):
-                cu = color.get(u, 0)
-                fresh[cu] += 1
-                xor ^= cu
-            cnt = fresh[1:]
-            want = (cnt, sum(m & 1 for m in cnt), xor, sum(map(bool, cnt)), fresh[0])
-            got = (self._counts[v][1:], self._num_odd[v], self._odd_xor[v],
-                   self._distinct[v], self._uncolored_nbrs[v])
-            if got != want:
-                raise EngineInvariantError(
-                    f"tables at {v} (counts, odd, XOR, distinct, uncolored) are"
-                    f" {got}, a recount gives {want}"
-                )

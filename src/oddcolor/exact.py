@@ -6,21 +6,31 @@ vertex u adjacent to v whose neighborhood just became fully colored must
 already see a color an odd number of times -- u's own color can never
 repair its neighborhood, so such a branch is dead.
 
-Each node branches on the uncolored vertex with the smallest domain.  v's
-domain is 1..top, top = min(k, max_used + 1), minus the colors on N(v)
-and, under the forward check, minus tau_o(u) for each neighbor u whose
-only uncolored neighbor is v: taking that color would leave u with no odd
-color.  Its size is read off the ``OddTracker`` tables without a recount:
-top, less the number of distinct colors on N(v), less those bans that no
-neighbor of v carries (tau_o is an O(1) lookup).  Colors are listed only
-for the vertex picked.  Ties go to the most colored neighbors, then the
-highest degree, then the lowest id; an empty domain backtracks without
-spending a node.  Only a vertex within distance 2 of a colored vertex can
-have a smaller domain than the whole palette (the tau_o bans reach across
-an uncolored neighbor), so the candidates are those vertices, kept
-incrementally under assign and unassign; when there are none (at the
-start, and after a component is finished) the pick is the first uncolored
-vertex by (-degree, id).  On the subdivided complete graphs this finds the
+The search colors one connected component at a time.  The outer loop
+walks the vertices by (-degree, id); each vertex still uncolored roots a
+fresh stack for its component, with domain 1..min(k, used + 1), where used
+is the largest color the earlier components took.  A component is finished
+once every vertex in it is colored; if its stack empties, no odd
+k-coloring exists and the search never goes back into a finished
+component, since components share no condition.  Colors above the largest
+one used are still interchangeable at every node, so symmetry breaking
+stays sound across components.
+
+Within a component, each node branches on the uncolored vertex with the
+smallest domain.  v's domain is 1..top, top = min(k, max_used + 1), minus
+the colors on N(v) and, under the forward check, minus tau_o(u) for each
+neighbor u whose only uncolored neighbor is v: taking that color would
+leave u with no odd color.  Its size is read off the ``OddTracker`` tables
+without a recount: top, less the number of distinct colors on N(v), less
+those bans that no neighbor of v carries (tau_o is an O(1) lookup).
+Colors are listed only for the vertex picked.  Ties go to the most colored
+neighbors, then the highest degree, then the lowest id; an empty domain
+backtracks without spending a node.  Only a vertex within distance 2 of a
+colored vertex can have a smaller domain than the whole palette (the tau_o
+bans reach across an uncolored neighbor), so the candidates are those
+vertices, kept incrementally under assign and unassign; that frontier is
+empty only before a component's first node, where the (-degree, id) order
+picks the root.  On the subdivided complete graphs this finds the
 pigeonhole clash between branch vertices at once, whatever the vertex
 labels.
 
@@ -61,6 +71,15 @@ INCONCLUSIVE = Inconclusive()
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Limits and pruning switches for the search.
+
+    ``max_k`` caps the palette sizes ``min_odd_coloring`` tries.
+    ``node_limit`` is one budget per level (per k): every component of the
+    graph draws on the same count, and a level that exceeds it is
+    INCONCLUSIVE.  ``forward_check`` and ``symmetry_breaking`` switch the
+    two prunings off, for cross-checks.
+    """
+
     max_k: int | None = None
     node_limit: int | None = None
     forward_check: bool = True
@@ -74,7 +93,8 @@ class SearchConfig:
 
 
 def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusive:
-    """Search g, which has no isolated vertex, for an odd k-coloring."""
+    """Search g, which has no isolated vertex, for an odd k-coloring, one
+    component after another, on one tracker and one node budget."""
     tracker = OddTracker(g, k)
     colored = tracker.color
     # the tracker's tables, read directly at every candidate of every pick
@@ -83,17 +103,15 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
     fc = cfg.forward_check
     adj = {v: g.neighbors(v) for v in g.vertices()}
     deg = {v: len(ns) for v, ns in adj.items()}
-    n = g.n
     nodes = 0
     limit = cfg.node_limit
     # near[v]: colored vertices within distance 2 of v, with multiplicity;
     # frontier: the uncolored vertices with near > 0.  Any other uncolored
     # vertex has the whole palette as its domain and no colored neighbor,
     # while a nonempty frontier always holds a vertex with a colored
-    # neighbor, which beats it.
+    # neighbor, which beats it.  It is empty once a component is finished.
     near = dict.fromkeys(adj, 0)
     frontier: set[int] = set()
-    by_degree = sorted(adj, key=lambda v: (-deg[v], v))
 
     def place(v: int, color: int) -> bool:
         """Color v; False when the forward check finds a vertex of N[v]
@@ -121,17 +139,10 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         if near[v]:
             frontier.add(v)
 
-    def pick(max_used: int, start: int) -> tuple[int, list[int], int]:
-        """The uncolored vertex with the smallest domain (then most colored
-        neighbors, highest degree, lowest id), its domain, and a position in
-        by_degree at or before the first uncolored vertex."""
+    def pick(max_used: int) -> tuple[int, list[int]]:
+        """The frontier vertex with the smallest domain (then most colored
+        neighbors, highest degree, lowest id) and its domain."""
         top = min(k, max_used + 1) if cfg.symmetry_breaking else k
-        if not frontier:
-            # every component is wholly colored or wholly uncolored; the
-            # first uncolored vertex only moves forward as vertices are colored
-            while by_degree[start] in colored:
-                start += 1
-            return by_degree[start], list(range(1, top + 1)), start
         # out: the tau_o bans on v that no neighbor of v carries.  Every
         # banned color is a used one, so all lie inside 1..top.
         best = None
@@ -148,38 +159,42 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
             if best is None or key < best:
                 best, best_out = key, out
         v, cv = best[3], counts[best[3]]
-        return v, [c for c in range(1, top + 1) if not cv[c] and c not in best_out], start
+        return v, [c for c in range(1, top + 1) if not cv[c] and c not in best_out]
 
-    witness = None
-    # frame: the branch vertex, the colors left to try on it, the largest
-    # color used before it, and the position pick returned with it
-    v, dom, start = pick(0, 0)
-    stack = [(v, iter(dom), 0, start)]
-    while stack:
-        v, colors, max_used, start = stack[-1]
-        color = next(colors, None)
-        if color is None:
-            stack.pop()
-            if stack:
-                unplace(stack[-1][0])
+    used = 0
+    for root in sorted(adj, key=lambda v: (-deg[v], v)):
+        if root in colored:
             continue
-        nodes += 1
-        if limit is not None and nodes > limit:
-            return INCONCLUSIVE
-        if place(v, color):
-            if len(colored) < n:
-                used = max(max_used, color)
-                u, dom, nxt = pick(used, start)
-                if dom:  # an empty domain is a dead branch, at no node cost
-                    stack.append((u, iter(dom), used, nxt))
-                    continue
-            else:
-                c = tracker.as_coloring()
-                if fc or is_odd_coloring(g, c):
-                    witness = c
+        top = min(k, used + 1) if cfg.symmetry_breaking else k
+        # frame: the branch vertex, the colors left to try on it, and the
+        # largest color used before it; the stack holds this component only
+        stack = [(root, iter(range(1, top + 1)), used)]
+        while True:
+            v, colors, max_used = stack[-1]
+            color = next(colors, None)
+            if color is None:
+                stack.pop()
+                if not stack:
+                    return None  # this component has no odd coloring
+                unplace(stack[-1][0])
+                continue
+            nodes += 1
+            if limit is not None and nodes > limit:
+                return INCONCLUSIVE
+            if place(v, color):
+                now = max(max_used, color)
+                if frontier:
+                    u, dom = pick(now)
+                    if dom:  # an empty domain is a dead branch, at no node cost
+                        stack.append((u, iter(dom), now))
+                        continue
+                # finished; without the forward check, odd only if every
+                # vertex of the component (one per frame) sees an odd color
+                elif fc or all(num_odd[f[0]] for f in stack):
+                    used = now
                     break
-        unplace(v)
-    return witness
+            unplace(v)
+    return tracker.as_coloring()
 
 
 def exists_odd_k_coloring(
@@ -191,8 +206,8 @@ def exists_odd_k_coloring(
         raise ValueError("k must be >= 1")
     # no condition involves an isolated vertex, and color 1 is in every palette
     isolated = [v for v in g.vertices() if not g.neighbors(v)]
-    rest = g.delete_vertices(isolated) if isolated else g
-    got = _search(rest, k, cfg) if rest.n else Coloring(k, {})
+    rest = g.subgraph(v for v in g.vertices() if g.neighbors(v)) if isolated else g
+    got = _search(rest, k, cfg)
     if isinstance(got, Coloring):
         if isolated:
             got = Coloring(k, {**got.assign, **dict.fromkeys(isolated, 1)})

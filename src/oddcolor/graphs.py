@@ -1,7 +1,7 @@
 """Simple undirected graphs with set-based adjacency.
 
 Vertices are integer ids. Graphs built from an edge list use ids 0..n-1;
-operations that shrink a graph (vertex deletion, edge contraction) keep the
+operations that shrink a graph (induced subgraphs, edge contraction) keep the
 surviving original ids, so partial colorings computed on a subgraph apply
 directly to the parent graph.
 """
@@ -102,17 +102,8 @@ class Graph:
     # Derived graphs
     # ------------------------------------------------------------------
 
-    def delete_vertices(self, drop: Iterable[int]) -> "Graph":
-        """Induced subgraph on the remaining vertices; original ids kept."""
-        dropped = set(drop)
-        for v in dropped:
-            if v not in self._adj:
-                raise NotAVertexError(v)
-        return Graph(
-            {v: ns - dropped for v, ns in self._adj.items() if v not in dropped}
-        )
-
     def subgraph(self, keep: Iterable[int]) -> "Graph":
+        """Induced subgraph on ``keep``; original ids kept."""
         kept = set(keep)
         for v in kept:
             if v not in self._adj:

@@ -85,7 +85,9 @@ def _contract(g: Graph, comp: list[int], d: int) -> tuple[list, int]:
 
     Returns the log of (x, y, N(x), neighbors y gained) per merge of x into
     y, and the last vertex.  Raises NotDegenerateError when every vertex
-    left has degree above d."""
+    left has degree above d.  A one-vertex component is its own base."""
+    if len(comp) == 1:
+        return [], comp[0]
     adj = MutableAdjacency(g, comp)
     rows = adj.rows
     log = []

@@ -190,6 +190,14 @@ class TestColorVerify:
         code, payload, _ = run(capsys, "verify", c4_file, str(bad))
         assert code == 1 and payload["valid"] is False
 
+    def test_verify_rejects_vertices_the_graph_lacks(self, tmp_path, capsys):
+        g, bad = tmp_path / "c5.graph.json", tmp_path / "bad.coloring.json"
+        save_graph(cycle(5), g)
+        # an odd coloring of C5, plus two vertices C5 lacks
+        save_coloring(Coloring(5, {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 99: 1, -3: 2}), bad)
+        code, payload, _ = run(capsys, "verify", str(g), str(bad))
+        assert code == 1 and payload["valid"] is False and "[-3, 99]" in payload["error"]
+
     def test_verify_rejects_non_int_color(self, tmp_path, capsys):
         g, bad = tmp_path / "c3.graph.json", tmp_path / "bad.coloring.json"
         save_graph(cycle(3), g)

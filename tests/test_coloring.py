@@ -205,9 +205,7 @@ class TestOddTracker:
                 v = rng.choice(free)
                 tr.assign(v, rng.randint(1, 5))
                 colored.append(v)
-            tr.check_against_recompute()
-            for v in g.vertices():
-                assert tr.tau_o(v) == tau_o(g, tr.as_coloring(), v)
+            assert_tables_recount(tr, g)
 
     def test_extend_matches_greedy_extend(self):
         # the unwind's greedy rule against the stateless one, on tables

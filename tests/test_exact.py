@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import assert_tables_recount, random_graph
 from oddcolor import exact
 from oddcolor.coloring import Coloring, is_odd_coloring, tau_o
 from oddcolor.exact import INCONCLUSIVE, SearchConfig, chi_o, exists_odd_k_coloring
@@ -57,6 +57,15 @@ def levels(monkeypatch):
 
     monkeypatch.setattr(exact, "OddTracker", Counted)
     return counts
+
+
+def disjoint_union(*parts: Graph) -> Graph:
+    """The parts side by side, each shifted past the ids of the ones before."""
+    adj, base = {}, 0
+    for g in parts:
+        adj.update({base + v: [base + u for u in g.neighbors(v)] for v in g.vertices()})
+        base += g.n
+    return Graph(adj)
 
 
 def relabel(g: Graph, seed: int) -> Graph:
@@ -145,6 +154,19 @@ class TestSoundnessCompleteness:
         g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
         # triangle needs 3, C4 needs 4; the union needs the max
         assert chi_o(g) == 4
+
+    @pytest.mark.parametrize(
+        "parts", [(star(10), cycle(5)), (star(6), star(6), cycle(5))], ids=["S10+C5", "S6+S6+C5"]
+    )
+    def test_refutation_stays_in_its_component(self, parts):
+        # C5 refutes k = 4 on its own; the earlier stars' colorings are
+        # never searched again, so a small budget decides every level
+        g = disjoint_union(*parts)
+        assert exists_odd_k_coloring(g, 4, SearchConfig(node_limit=200)) is None
+        cfg = SearchConfig(node_limit=1000)
+        assert chi_o(g, cfg) == 5
+        w = exact.min_odd_coloring(g, cfg)
+        assert w.k == 5 and is_odd_coloring(g, w)
 
 
 class TestConfig:
@@ -271,7 +293,7 @@ class TestBranching:
 
         class Checked(exact.OddTracker):
             def assign(self, v, color):
-                self.check_against_recompute()
+                assert_tables_recount(self, self.g)
                 assert v == full_scan(self.g, self)
                 super().assign(v, color)
 

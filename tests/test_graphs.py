@@ -76,13 +76,13 @@ class TestBasics:
 
 class TestDeleteContract:
     def test_delete_vertex_of_c5(self):
-        g = cycle(5).delete_vertices([0])
+        g = cycle(5).subgraph([1, 2, 3, 4])
         assert g.n == 4
         assert g.edges() == [(1, 2), (2, 3), (3, 4)]  # a path, original ids
 
     def test_delete_unknown(self):
         with pytest.raises(NotAVertexError):
-            cycle(5).delete_vertices([9])
+            cycle(5).subgraph([0, 9])
 
     def test_contract_triangle_gives_k2(self):
         g, w = cycle(3).contract(0, 1)

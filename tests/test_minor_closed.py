@@ -98,6 +98,23 @@ class TestAlgorithm:
         c, _ = odd_color_minor_closed(g, 1)
         assert c.assign == {0: 1}
 
+    def test_isolated_vertices_build_no_adjacency(self, monkeypatch):
+        # only the 3-vertex path is contracted; each of the 1,997 isolated
+        # vertices is its own base, with an empty trace
+        built = []
+
+        class Counted(minor_closed.MutableAdjacency):
+            def __init__(self, g, vs):
+                built.append(1)
+                super().__init__(g, vs)
+
+        monkeypatch.setattr(minor_closed, "MutableAdjacency", Counted)
+        g = Graph.from_edges(2000, [(0, 1), (1, 2)])
+        c, traces = odd_color_minor_closed(g, 1)
+        assert len(built) == 1
+        assert is_odd_coloring(g, c) and len(traces) == 1998
+        assert [(t.steps, t.base) for t in traces[1:]] == [([], v) for v in range(3, 2000)]
+
     def test_not_degenerate_detected(self):
         with pytest.raises(NotDegenerateError):
             odd_color_minor_closed(complete(4), 1)
