@@ -109,7 +109,7 @@ def rule_transfers(
 
     r3: list[Transfer] = []
     for v in sorted(bigs):
-        for u in sorted(g.neighbors(v)):
+        for u in g.neighbors(v):
             if u in two:
                 r3.append(Transfer(("vertex", v), ("vertex", u), Fraction(1, 2)))
     return r1, r2, r3

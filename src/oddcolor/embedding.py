@@ -526,7 +526,7 @@ def contract_uncrossed_edge(emb: OnePlaneGraph, x: int, y: int) -> OnePlaneGraph
     if edges[xy] is not None:
         raise InvalidEmbeddingError(f"edge ({x}, {y}) has a crossing")
     g = underlying_graph(emb)
-    b = _delete(emb, (), [(x, z) for z in g.neighbors(x) & g.neighbors(y)])
+    b = _delete(emb, (), [(x, z) for z in set(g.neighbors(x)).intersection(g.neighbors(y))])
     rx, ry = b.rot.pop(x), b.rot[y]
     e = next(e for e in rx if b.other_end(e, x) == y)
     ix, iy = rx.index(e), ry.index(e)

@@ -1,4 +1,4 @@
-"""Simple undirected graphs with set-based adjacency.
+"""Simple undirected graphs with one sorted tuple of neighbors per vertex.
 
 Vertices are integer ids. Graphs built from an edge list use ids 0..n-1;
 operations that shrink a graph (induced subgraphs, edge contraction) keep the
@@ -9,7 +9,8 @@ directly to the parent graph.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator
+from bisect import bisect_left
+from typing import Iterable, Iterator, Mapping
 
 
 class NotAVertexError(KeyError):
@@ -23,23 +24,41 @@ class NotAnEdgeError(ValueError):
 class Graph:
     """Immutable simple undirected graph.
 
-    No loops, no parallel edges; adjacency is symmetric by construction.
+    Each vertex's neighbors are one sorted tuple of ints, so graphs with
+    the same edges have equal rows whatever order their rows came in.  No
+    loops, no parallel edges; adjacency is symmetric by construction.
     """
 
     __slots__ = ("_adj",)
 
-    def __init__(self, adj: dict[int, Iterable[int]]):
-        built: dict[int, frozenset[int]] = {}
-        for v, nbrs in adj.items():
-            ns = frozenset(nbrs)
-            if v in ns:
-                raise ValueError(f"loop at vertex {v}")
-            built[int(v)] = ns
-        for v, ns in built.items():
-            for u in ns:
-                if u not in built or v not in built[u]:
-                    raise ValueError(f"asymmetric adjacency at edge ({v}, {u})")
-        self._adj = built
+    def __init__(self, adj: Mapping[int, Iterable[int]]):
+        """Check and store adj.  Keys become ints and each neighbor becomes
+        the key it equals.  Raises ValueError on a neighbor that is no key,
+        a loop, a neighbor listed twice and a neighbor that does not list
+        the vertex back.  O(n log n + m)."""
+        key = {int(v): v for v in adj}
+        # Rows filled in ascending id order come out sorted.  up is adj
+        # transposed, each neighbor found by its id; rows is up transposed
+        # back, so adj is symmetric exactly when the two agree.
+        up: dict[int, list[int]] = {v: [] for v in sorted(key)}
+        try:
+            for v in up:
+                for u in adj[key[v]]:
+                    up[u].append(v)
+        except KeyError as e:
+            raise ValueError(f"neighbor {e.args[0]!r} is not a vertex") from None
+        rows: dict[int, list[int]] = {v: [] for v in up}
+        for v, row in up.items():
+            prev = None
+            for u in row:  # the vertices that list v
+                if u == v or u == prev:
+                    raise ValueError(f"loop at vertex {v}" if u == v else f"vertex {u} lists {v} twice")
+                rows[u].append(v)
+                prev = u
+        if rows != up:
+            v = next(v for v in up if rows[v] != up[v])
+            raise ValueError(f"asymmetric adjacency at edge ({v}, {min(set(rows[v]) ^ set(up[v]))})")
+        self._adj = {v: tuple(row) for v, row in rows.items()}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -70,7 +89,8 @@ class Graph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
-    def neighbors(self, v: int) -> frozenset[int]:
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """v's neighbors, ascending."""
         try:
             return self._adj[v]
         except KeyError:
@@ -80,7 +100,9 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
+        row = self._adj.get(u, ())
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted."""
@@ -105,10 +127,7 @@ class Graph:
     def subgraph(self, keep: Iterable[int]) -> "Graph":
         """Induced subgraph on ``keep``; original ids kept."""
         kept = set(keep)
-        for v in kept:
-            if v not in self._adj:
-                raise NotAVertexError(v)
-        return Graph({v: self._adj[v] & kept for v in kept})
+        return Graph({v: kept.intersection(self.neighbors(v)) for v in kept})
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
@@ -251,7 +270,7 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
         index[root] = low[root] = counter
         counter += 1
         stack: list[tuple[int, int, Iterator[int]]] = [
-            (root, -1, iter(sorted(g.neighbors(root))))
+            (root, -1, iter(g.neighbors(root)))
         ]
         while stack:
             v, parent, it = stack[-1]
@@ -264,7 +283,7 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
                 else:
                     index[u] = low[u] = counter
                     counter += 1
-                    stack.append((u, v, iter(sorted(g.neighbors(u)))))
+                    stack.append((u, v, iter(g.neighbors(u))))
                     advanced = True
                     break
             if not advanced:

@@ -480,10 +480,10 @@ def _shrink(
         return delete_real_vertices(emb, [cfg.v]), g.neighbors(cfg.v), None
     if isinstance(cfg, SmallPair):
         v, w = cfg.v, cfg.w
-        return delete_real_vertices(emb, [v, w]), g.neighbors(v) - {w}, g.neighbors(w)
+        return delete_real_vertices(emb, [v, w]), set(g.neighbors(v)) - {w}, g.neighbors(w)
     if isinstance(cfg, UncrossedSmallEdge):
         x, y = cfg.x, cfg.y
-        gained = g.neighbors(x) - g.neighbors(y) - {y}
+        gained = set(g.neighbors(x)).difference(g.neighbors(y), (y,))
         return contract_uncrossed_edge(emb, x, y), g.neighbors(x), gained
     # D2Vertex
     others = {}
@@ -492,7 +492,7 @@ def _shrink(
         if g.degree(other) == 2:
             raise EngineInvariantError(f"2-vertex {u} lacks a surviving big neighbor")
         others[u] = other
-    row = g.neighbors(cfg.v) - others.keys()
+    row = set(g.neighbors(cfg.v)) - others.keys()
     return delete_real_vertices(emb, [cfg.v, *others]), row, others
 
 

@@ -309,7 +309,7 @@ class TestSurgery:
         )
         assert validate(emb) == []
         g = underlying_graph(emb)
-        assert g.neighbors(1) & g.neighbors(0) == {2, 4}
+        assert set(g.neighbors(1)) & set(g.neighbors(0)) == {2, 4}
         out = contract_uncrossed_edge(emb, 1, 0)
         assert validate(out) == []
         assert underlying_graph(out) == g.contract(1, 0)[0]
@@ -388,7 +388,7 @@ def surgery_outputs(name: str):
         for emb in surgery_corpus():
             g = underlying_graph(emb)
             for (x, y), w in sorted(g_edges(emb).items()):
-                if w is None and not g.neighbors(x) & g.neighbors(y):
+                if w is None and not set(g.neighbors(x)) & set(g.neighbors(y)):
                     yield contract_uncrossed_edge(emb, x, y)
                     yield contract_uncrossed_edge(emb, y, x)
     elif name == "uncross_two_face":

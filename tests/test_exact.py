@@ -283,7 +283,7 @@ class TestBranching:
                 banned = {c.assign[u] for u in g.neighbors(v) if u in c}
                 if cfg.forward_check:
                     for u in g.neighbors(v):
-                        last = all(w in c for w in g.neighbors(u) - {v})
+                        last = all(w in c for w in set(g.neighbors(u)) - {v})
                         if last and (odd := tau_o(g, c, u)) is not None:
                             banned.add(odd)
                 placed = sum(1 for u in g.neighbors(v) if u in c)

@@ -1,6 +1,8 @@
 """Graph structure: degeneracy, bridges, contraction, deletion."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -54,6 +56,19 @@ class TestBasics:
         with pytest.raises(NotAVertexError):
             Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "adj, message",
+        [
+            pytest.param({0: [1, 0], 1: [0]}, "loop at vertex 0", id="loop"),
+            pytest.param({0: [1], 1: [0, 2], 2: []}, r"asymmetric adjacency at edge \(1, 2\)", id="asymmetric"),
+            pytest.param({0: [1, 7], 1: [0]}, "neighbor 7 is not a vertex", id="unknown-neighbor"),
+            pytest.param({0: [1, 1], 1: [0]}, "vertex 0 lists 1 twice", id="repeated-neighbor"),
+        ],
+    )
+    def test_bad_rows_rejected(self, adj, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(adj)
+
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(-1, [])
@@ -63,6 +78,55 @@ class TestBasics:
     def test_edges_sorted(self):
         g = Graph.from_edges(3, [(2, 1), (0, 2)])
         assert g.edges() == [(0, 2), (1, 2)]
+
+    def test_rows_are_canonical(self):
+        g = Graph({3: [2, 1], 1: {3, 2}, 2: (3, 1), 0: []})
+        h = Graph({0: (), 1: [2, 3], 2: [1, 3], 3: [1, 2]})
+        assert g.neighbors(3) == (1, 2) and g.neighbors(0) == ()
+        assert g == h and hash(g) == hash(h)
+        assert g != Graph({0: [1], 1: [0, 2, 3], 2: [1, 3], 3: [1, 2]})
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            pytest.param(lambda g: g.subgraph(range(18, 0, -1)), id="subgraph"),
+            pytest.param(lambda g: g.contract(*g.edges()[-1])[0], id="contract"),
+            pytest.param(lambda g: g.delete_edge(*g.edges()[0]), id="delete_edge"),
+        ],
+    )
+    def test_derived_rows_sorted(self, derive):
+        g = derive(random_graph(20, 0.4, seed=5))
+        for v in g.vertices():
+            row = g.neighbors(v)
+            assert type(row) is tuple and list(row) == sorted(set(row))
+
+    def test_has_edge_bisects_rows(self):
+        g = star(2000)
+        assert all(g.has_edge(leaf, 0) and g.has_edge(0, leaf) for leaf in range(1, 2001))
+        assert not g.has_edge(1, 2) and not g.has_edge(2000, 1999)
+        assert not g.has_edge(0, 2001) and not g.has_edge(2001, 0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: path(10**4), id="path"),
+            # 6-regular: a frozenset row of 5 to 12 ints took 728 bytes
+            pytest.param(
+                lambda: Graph.from_edges(10**4, [(i, (i + k) % 10**4) for i in range(10**4) for k in (1, 2, 3)]),
+                id="circulant-degree-6",
+            ),
+        ],
+    )
+    def test_bytes_per_vertex(self, build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = build()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held / g.n <= 250
 
     def test_named_graphs(self):
         assert cycle(5).num_edges() == 5

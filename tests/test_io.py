@@ -8,7 +8,7 @@ import pytest
 from conftest import embedding_cases
 from oddcolor.coloring import Coloring
 from oddcolor.generators import k7_star_embedding, random_one_plane
-from oddcolor.graphs import cycle, subdivided_complete
+from oddcolor.graphs import Graph, cycle, subdivided_complete
 from oddcolor.io import (
     ParseError,
     coloring_from_text,
@@ -27,6 +27,13 @@ from oddcolor.io import (
 class TestGraphFile:
     def test_roundtrip(self):
         g = subdivided_complete(5)
+        assert graph_from_text(graph_to_text(g)) == g
+
+    @pytest.mark.parametrize("other", [1.0, True], ids=["float", "bool"])
+    def test_neighbor_ids_become_ints(self, other):
+        # a neighbor equal to a key is stored as that key's int
+        g = Graph({0: [other], 1: [0]})
+        assert all(type(v) is int for e in g.edges() for v in e)
         assert graph_from_text(graph_to_text(g)) == g
 
     def test_bytes_stable(self):
