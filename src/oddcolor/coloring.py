@@ -134,28 +134,29 @@ def smallest_free(banned: set[int], k: int) -> int | None:
 
 
 class OddTracker:
-    """Per-vertex tables: how many colored neighbors carry each color.
+    """Per-vertex odd-color sets, one bitmask per vertex.
 
-    ``neighbor_colors(v)[c]`` counts v's colored neighbors of color c (a
-    list over 0..k), ``num_odd(v)`` the colors of odd count, and a third
-    table the XOR of those colors, so tau_o is O(1): it is that XOR when
-    exactly one color is odd.  Every count change toggles the XOR.  With a
-    graph g, the exact solver colors and uncolors g's vertices by
-    assign/unassign, which also count uncolored neighbors and distinct
-    neighbor colors.  With
-    g None the tables start empty, and the constructive engines unwind
-    their logs by restore, extend and unmerge, passing each vertex's
-    neighbor row instead of a graph.
+    Bit c of ``_odd[v]`` is set exactly when color c occurs an odd number
+    of times on v's colored neighbors, so every color change on a neighbor
+    toggles one bit.  tau_o(v) is the color of the mask's only bit when it
+    has just one: ``_only_bit`` maps each one-bit mask to its color.
+
+    With a graph g, the exact solver colors and uncolors g's vertices by
+    assign/unassign, which also keep what its domain sizes need: per-color
+    neighbor counts, distinct neighbor colors and uncolored neighbors.
+    With g None only the colors and masks are kept, starting empty, and the
+    constructive engines unwind their logs by restore, extend and unmerge,
+    passing each vertex's neighbor row instead of a graph.
     """
 
     def __init__(self, g: Graph | None, k: int):
         self.g = g
         self.k = k
         self.color: dict[int, int] = {}
+        self._only_bit = {1 << c: c for c in range(1, k + 1)}
         vs = g.vertices() if g is not None else ()
+        self._odd: dict[int, int] = dict.fromkeys(vs, 0)
         self._counts: dict[int, list[int]] = {v: [0] * (k + 1) for v in vs}
-        self._num_odd: dict[int, int] = dict.fromkeys(vs, 0)
-        self._odd_xor: dict[int, int] = dict.fromkeys(vs, 0)
         self._distinct: dict[int, int] = dict.fromkeys(vs, 0)
         self._uncolored_nbrs: dict[int, int] = {v: g.degree(v) for v in vs}
 
@@ -170,100 +171,72 @@ class OddTracker:
 
     def _count(self, v: int, color: int, step: int) -> None:
         """Add step (1 or -1) to color's count at every neighbor of v."""
-        counts, num_odd, odd_xor = self._counts, self._num_odd, self._odd_xor
+        counts, odd = self._counts, self._odd
         distinct, uncolored = self._distinct, self._uncolored_nbrs
+        bit = 1 << color
         for u in self.g.neighbors(v):
             cnt = counts[u]
             m = cnt[color] = cnt[color] + step
-            num_odd[u] += 1 if m & 1 else -1
-            odd_xor[u] ^= color
+            odd[u] ^= bit
             if m == (step == 1):  # the count rose to 1 or fell to 0
                 distinct[u] += step
             uncolored[u] -= step
 
     def restore(self, v: int, row: Iterable[int]) -> None:
-        """Tabulate v from its neighbor row, counting the colored ones; no
-        other table changes."""
+        """Set v's mask from its neighbor row, over the colored ones; no
+        other mask changes."""
         color = self.color
-        cnt = [0] * (self.k + 1)
-        odd = xor = 0
+        mask = 0
         for u in row:
-            cu = color.get(u)
-            if cu is not None:
-                cnt[cu] += 1
-                odd += 1 if cnt[cu] & 1 else -1
-                xor ^= cu
-        self._counts[v] = cnt
-        self._num_odd[v] = odd
-        self._odd_xor[v] = xor
+            if u in color:
+                mask ^= 1 << color[u]
+        self._odd[v] = mask
 
     def extend(self, v: int, row: Collection[int], extra: Iterable[int] = ()) -> int:
         """Color v by the rule of ``greedy_extend`` and return the color:
         the smallest one outside ``extra`` (None there bans nothing), the
         colors on row and their tau_o.  Every vertex of row is colored."""
-        color, counts, num_odd = self.color, self._counts, self._num_odd
-        odd_xor = self._odd_xor
-        cnt = [0] * (self.k + 1)
-        odd = xor = 0
+        color, odd, only_bit = self.color, self._odd, self._only_bit
+        mask = 0
         banned = set(extra)
         for u in row:
             cu = color[u]
-            cnt[cu] += 1
-            odd += 1 if cnt[cu] & 1 else -1
-            xor ^= cu
+            mask ^= 1 << cu
             banned.add(cu)
-            if num_odd[u] == 1:
-                banned.add(odd_xor[u])
+            banned.add(only_bit.get(odd[u]))  # tau_o(u); None bans nothing
         c = smallest_free(banned, self.k)
         if c is None:
             raise EngineInvariantError(
                 f"no color free for vertex {v}: the palette of {self.k} is forbidden"
             )
         color[v] = c
-        counts[v] = cnt
-        num_odd[v] = odd
-        odd_xor[v] = xor
+        odd[v] = mask
         for u in row:
-            tu = counts[u]
-            tu[c] += 1
-            num_odd[u] += 1 if tu[c] & 1 else -1
-            odd_xor[u] ^= c
+            odd[u] ^= 1 << c
         return c
 
     def unmerge(self, x: int, y: int, row: Collection[int], gained: Iterable[int]) -> None:
         """Undo the merge of x into y: y loses the neighbors it gained, x is
         colored by ``extend`` over its row, and y's color must occur
         exactly once on N(x), which keeps x's neighborhood odd."""
-        color, counts, num_odd = self.color, self._counts, self._num_odd
-        odd_xor = self._odd_xor
+        color, odd = self.color, self._odd
         cy = color[y]
-        ty = counts[y]
         for w in gained:
-            cw = color[w]
-            ty[cw] -= 1
-            num_odd[y] += 1 if ty[cw] & 1 else -1
-            odd_xor[y] ^= cw
-            tw = counts[w]
-            tw[cy] -= 1
-            num_odd[w] += 1 if tw[cy] & 1 else -1
-            odd_xor[w] ^= cy
+            odd[y] ^= 1 << color[w]
+            odd[w] ^= 1 << cy
         self.extend(x, row)
-        if counts[x][cy] != 1:
-            raise EngineInvariantError(
-                f"color of {y} appears {counts[x][cy]} times on N({x})"
-            )
-
-    def num_odd(self, v: int) -> int:
-        return self._num_odd[v]
-
-    def neighbor_colors(self, v: int) -> list[int]:
-        return self._counts[v]
+        times = 0
+        for u in row:
+            times += color[u] == cy
+        if times != 1:
+            raise EngineInvariantError(f"color of {y} appears {times} times on N({x})")
 
     def odd_colors(self, v: int) -> set[int]:
-        return {c for c, m in enumerate(self._counts[v]) if m & 1}
+        mask = self._odd[v]
+        return {c for c in range(mask.bit_length()) if mask >> c & 1}
 
     def tau_o(self, v: int) -> int | None:
-        return self._odd_xor[v] if self._num_odd[v] == 1 else None
+        return self._only_bit.get(self._odd[v])
 
     def as_coloring(self) -> Coloring:
         return Coloring(self.k, self.color)

@@ -22,7 +22,9 @@ the colors on N(v) and, under the forward check, minus tau_o(u) for each
 neighbor u whose only uncolored neighbor is v: taking that color would
 leave u with no odd color.  Its size is read off the ``OddTracker`` tables
 without a recount: top, less the number of distinct colors on N(v), less
-those bans that no neighbor of v carries (tau_o is an O(1) lookup).
+those bans that no neighbor of v carries (tau_o(u) is the color of the
+only set bit of u's odd-color mask, when it has just one, read off a
+table of the one-bit masks).
 Colors are listed only for the vertex picked.  Ties go to the most colored
 neighbors, then the highest degree, then the lowest id; an empty domain
 backtracks without spending a node.  Only a vertex within distance 2 of a
@@ -98,7 +100,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
     tracker = OddTracker(g, k)
     colored = tracker.color
     # the tracker's tables, read directly at every candidate of every pick
-    counts, num_odd, odd_xor = tracker._counts, tracker._num_odd, tracker._odd_xor
+    counts, odd, only_bit = tracker._counts, tracker._odd, tracker._only_bit
     distinct, uncolored = tracker._distinct, tracker._uncolored_nbrs
     fc = cfg.forward_check
     adj = {v: g.neighbors(v) for v in g.vertices()}
@@ -119,9 +121,9 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         pending color never enters its neighborhood, so it is beyond repair."""
         tracker.assign(v, color)
         frontier.discard(v)
-        alive = not fc or uncolored[v] or num_odd[v]
+        alive = not fc or uncolored[v] or odd[v]
         for u in adj[v]:
-            if fc and not (uncolored[u] or num_odd[u]):
+            if fc and not (uncolored[u] or odd[u]):
                 alive = False
             for w in (u, *adj[u]):
                 near[w] += 1
@@ -151,8 +153,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
             out = ()
             if fc:
                 for u in adj[v]:
-                    if uncolored[u] == 1 and num_odd[u] == 1:
-                        t = odd_xor[u]
+                    if uncolored[u] == 1 and (t := only_bit.get(odd[u])):
                         if not cv[t] and t not in out:
                             out = (*out, t)
             key = (top - distinct[v] - len(out), uncolored[v] - deg[v], -deg[v], v)
@@ -190,7 +191,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
                         continue
                 # finished; without the forward check, odd only if every
                 # vertex of the component (one per frame) sees an odd color
-                elif fc or all(num_odd[f[0]] for f in stack):
+                elif fc or all(odd[f[0]] for f in stack):
                     used = now
                     break
             unplace(v)

@@ -365,4 +365,6 @@ def gen(name: str, **params) -> Graph | OnePlaneGraph:
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; choose from {tuple(GENERATORS)}")
     fn, names = GENERATORS[name]
+    if "n" in names and "n" not in params:
+        raise ValueError(f"generator {name!r} needs the parameter 'n'")
     return fn(*(params[p] if p == "n" else params.get(p, 0) for p in names))

@@ -33,10 +33,13 @@ class Graph:
 
     def __init__(self, adj: Mapping[int, Iterable[int]]):
         """Check and store adj.  Keys become ints and each neighbor becomes
-        the key it equals.  Raises ValueError on a neighbor that is no key,
-        a loop, a neighbor listed twice and a neighbor that does not list
-        the vertex back.  O(n log n + m)."""
+        the key it equals.  Raises ValueError on a key that differs from its
+        int() (1.0 and True are 1; 1.5 and "1" are rejected), a neighbor
+        that is no key, a loop, a neighbor listed twice and a neighbor that
+        does not list the vertex back.  O(n log n + m)."""
         key = {int(v): v for v in adj}
+        if key.keys() != adj.keys():  # a key is not its int(), so two keys may share an id
+            raise ValueError(f"vertex {next(v for v in adj if v not in key)!r} is not an integer")
         # Rows filled in ascending id order come out sorted.  up is adj
         # transposed, each neighbor found by its id; rows is up transposed
         # back, so adj is symmetric exactly when the two agree.
@@ -62,14 +65,18 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Graph on vertex ids 0..n-1 with the given edges."""
+        """Graph on vertex ids 0..n-1 with the given edges.  Raises
+        ValueError on a loop or an endpoint that is not an integer, and
+        NotAVertexError on one outside 0..n-1."""
         if n < 0:
             raise ValueError(f"negative vertex count {n}")
         adj: dict[int, set[int]] = {v: set() for v in range(n)}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if u not in adj or v not in adj:
+                if int(u) != u or int(v) != v:
+                    raise ValueError(f"edge ({u}, {v}) has an endpoint that is not an integer")
                 raise NotAVertexError(f"edge ({u}, {v}) outside 0..{n - 1}")
             adj[u].add(v)
             adj[v].add(u)

@@ -12,11 +12,13 @@ Each component is contracted on one ``graphs.MutableAdjacency``: the
 vertex x of least (degree, id) merges into its lowest-id neighbor y in
 O(d), and the merge goes on an undo log as (x, y, N(x), the neighbors y
 gained).  The unwind walks the log backwards on one
-``OddTracker``, whose per-vertex tables count how many neighbors carry
-each color: ``unmerge`` takes y's gained edges out of the tables, colors
-x greedily and checks y's color on N(x), one call per record.  The graph
-itself is never rebuilt, so a component costs O(n*d*k + m log n) time and
-O(n*k + m) memory.
+``OddTracker``, which keeps one color and one bitmask per vertex, bit c
+set when color c occurs an odd number of times on its neighbors:
+``unmerge`` toggles y's gained edges out of the masks, colors x greedily
+and checks y's color on N(x), one call per record.  The graph itself is
+never rebuilt, so a component costs O(n*d + m log n) time and O(n + m)
+memory: a mask has 2d+2 bits, one CPython digit while d <= 14, and each
+record toggles O(d) of them.
 
 Family membership is not verified structurally.  What the procedure
 actually consumes is that every contraction result still has a vertex of

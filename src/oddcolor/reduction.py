@@ -9,9 +9,10 @@ into the components of its planarization makes several.  It then replays
 the log last-in-first-out, extending one coloring back over each step.  A
 record keeps the neighbor rows of the vertices its step removed (and the
 neighbors a contraction's kept end gained); only Bridge keeps its graph.
-The replay reads tau_o off one ``OddTracker``, whose tables describe the
-graph each record's step left: pending instances are vertex-disjoint, and
-no underlying edge joins two planarization components.
+The replay reads tau_o off one ``OddTracker``, whose odd-color masks
+describe the graph each record's step left: pending instances are
+vertex-disjoint, and no underlying edge joins two planarization
+components.
 
 The fixed priority matters where a later configuration is only correct
 once an earlier one is absent: handling a vertex with 2-valent neighbors

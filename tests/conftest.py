@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oddcolor.coloring import tau_o
+from oddcolor.coloring import odd_colors, tau_o
 from oddcolor.embedding import OnePlaneGraph
 from oddcolor.generators import k7_star_embedding, path_embedding, random_one_plane
 from oddcolor.graphs import Graph
@@ -24,27 +24,28 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
-    """Each given vertex of g (default: all) has the color counts, odd
-    count, XOR of odd colors and tau_o that a recount over its colored
+    """Each given vertex of g (default: all) has the odd-color mask, read
+    through ``odd_colors`` and ``tau_o``, that a recount over its colored
     neighbors in g gives; with ``tracker.g`` set (the exact solver's
-    tables), also its distinct-color and uncolored-neighbor counts."""
+    tables), also its per-color, distinct-color and uncolored-neighbor
+    counts, which the tracker keeps in that mode only."""
     c = tracker.as_coloring()
     for v in g.vertices() if vertices is None else vertices:
         want = [0] * (tracker.k + 1)
-        xor = uncolored = 0
+        uncolored = 0
         for u in g.neighbors(v):
             if u in tracker.color:
                 want[tracker.color[u]] += 1
-                xor ^= tracker.color[u]
             else:
                 uncolored += 1
-        assert tracker.neighbor_colors(v) == want, v
-        assert tracker.num_odd(v) == sum(m % 2 for m in want), v
-        assert tracker._odd_xor[v] == xor, v
+        assert tracker.odd_colors(v) == odd_colors(g, c, v), v
         assert tracker.tau_o(v) == tau_o(g, c, v), v
         if tracker.g is not None:
+            assert tracker._counts[v] == want, v
             assert tracker._distinct[v] == sum(map(bool, want)), v
             assert tracker._uncolored_nbrs[v] == uncolored, v
+        else:  # the constructive engines keep no per-vertex count list
+            assert not tracker._counts, v
 
 
 def embedding_cases() -> list:

@@ -49,6 +49,8 @@ class TestNamedGraphs:
         assert embedding_to_text(got) == embedding_to_text(random_one_plane(12, 0.0, 3))
         with pytest.raises(ValueError):
             gen("banana")
+        with pytest.raises(ValueError, match="generator 'cycle' needs the parameter 'n'"):
+            gen("cycle")
 
     def test_subdivided_complete_counts(self):
         g = gen("subdivided_complete", n=7)

@@ -69,6 +69,23 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             Graph(adj)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: Graph({1.5: [], 2: []}), "vertex 1.5 is not an integer", id="fractional-key"),
+            pytest.param(lambda: Graph({1: [], "1": []}), "vertex '1' is not an integer", id="keys-sharing-an-id"),
+            pytest.param(lambda: Graph.from_edges(3, [(0, 1.5)]), r"edge \(0, 1.5\) has an endpoint that is not an integer", id="fractional-endpoint"),
+        ],
+    )
+    def test_non_integer_ids_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_integral_ids_become_ints(self):
+        g = Graph({0: [True], 1.0: [0], 2: []})
+        assert g.vertices() == [0, 1, 2] and all(type(v) is int for v in g.vertices())
+        assert Graph.from_edges(3, [(0, 1.0), (True, 2)]).edges() == [(0, 1), (1, 2)]
+
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError):
             Graph.from_edges(-1, [])
