@@ -143,22 +143,32 @@ class OddTracker:
 
     With a graph g, the exact solver colors and uncolors g's vertices by
     assign/unassign, which also keep what its domain sizes need: per-color
-    neighbor counts, distinct neighbor colors and uncolored neighbors.
+    neighbor counts, distinct neighbor colors and uncolored neighbors, all
+    built from g's rows, read in one pass; ``_only_bit`` covers 1..k.
     With g None only the colors and masks are kept, starting empty, and the
     constructive engines unwind their logs by restore, extend and unmerge,
-    passing each vertex's neighbor row instead of a graph.
+    passing each vertex's neighbor row instead of a graph.  ``_only_bit``
+    then grows to the largest color a mask holds, not to k, so a palette
+    far beyond the colors used costs nothing.
     """
 
     def __init__(self, g: Graph | None, k: int):
         self.g = g
         self.k = k
         self.color: dict[int, int] = {}
-        self._only_bit = {1 << c: c for c in range(1, k + 1)}
-        vs = g.vertices() if g is not None else ()
-        self._odd: dict[int, int] = dict.fromkeys(vs, 0)
-        self._counts: dict[int, list[int]] = {v: [0] * (k + 1) for v in vs}
-        self._distinct: dict[int, int] = dict.fromkeys(vs, 0)
-        self._uncolored_nbrs: dict[int, int] = {v: g.degree(v) for v in vs}
+        self._only_bit: dict[int, int] = {}
+        self._cover(k if g is not None else 0)
+        rows = self._rows = {v: g.neighbors(v) for v in g.vertices()} if g is not None else {}
+        self._odd: dict[int, int] = dict.fromkeys(rows, 0)
+        self._counts: dict[int, list[int]] = {v: [0] * (k + 1) for v in rows}
+        self._distinct: dict[int, int] = dict.fromkeys(rows, 0)
+        self._uncolored_nbrs: dict[int, int] = {v: len(row) for v, row in rows.items()}
+
+    def _cover(self, top: int) -> None:
+        """Extend ``_only_bit`` to the colors 1..top."""
+        only_bit = self._only_bit
+        for c in range(len(only_bit) + 1, top + 1):
+            only_bit[1 << c] = c
 
     def assign(self, v: int, color: int) -> None:
         if v in self.color:
@@ -174,7 +184,7 @@ class OddTracker:
         counts, odd = self._counts, self._odd
         distinct, uncolored = self._distinct, self._uncolored_nbrs
         bit = 1 << color
-        for u in self.g.neighbors(v):
+        for u in self._rows[v]:
             cnt = counts[u]
             m = cnt[color] = cnt[color] + step
             odd[u] ^= bit
@@ -191,6 +201,8 @@ class OddTracker:
             if u in color:
                 mask ^= 1 << color[u]
         self._odd[v] = mask
+        if mask.bit_length() > len(self._only_bit) + 1:
+            self._cover(mask.bit_length() - 1)
 
     def extend(self, v: int, row: Collection[int], extra: Iterable[int] = ()) -> int:
         """Color v by the rule of ``greedy_extend`` and return the color:
@@ -209,6 +221,8 @@ class OddTracker:
             raise EngineInvariantError(
                 f"no color free for vertex {v}: the palette of {self.k} is forbidden"
             )
+        if c > len(only_bit):
+            self._cover(c)
         color[v] = c
         odd[v] = mask
         for u in row:

@@ -6,6 +6,15 @@ vertex u adjacent to v whose neighborhood just became fully colored must
 already see a color an odd number of times -- u's own color can never
 repair its neighborhood, so such a branch is dead.
 
+The odd chromatic number is found by ascending searches that start at a
+proven lower bound, not at 1.  A vertex of degree 2 whose two neighbors
+share a color sees no odd color, so every odd coloring properly colors the
+conflict graph: g plus an edge between the two neighbors of each degree-2
+vertex.  One clique of it, grown greedily by largest conflict degree,
+bounds chi_o, and so does 3 when some vertex has even positive degree.
+The bound is exact on C4 (4), C5 (5), star(23) (2) and every labeling of
+the subdivided complete graph K_p* (p); it is 3 on the longer cycles.
+
 The search colors one connected component at a time.  The outer loop
 walks the vertices by (-degree, id); each vertex still uncolored roots a
 fresh stack for its component, with domain 1..min(k, used + 1), where used
@@ -22,12 +31,13 @@ the colors on N(v) and, under the forward check, minus tau_o(u) for each
 neighbor u whose only uncolored neighbor is v: taking that color would
 leave u with no odd color.  Its size is read off the ``OddTracker`` tables
 without a recount: top, less the number of distinct colors on N(v), less
-those bans that no neighbor of v carries (tau_o(u) is the color of the
-only set bit of u's odd-color mask, when it has just one, read off a
-table of the one-bit masks).
+those bans that no neighbor of v carries, kept as one bitmask (tau_o(u)
+is the color of the only set bit of u's odd-color mask, when it has just
+one, read off a table of the one-bit masks).
 Colors are listed only for the vertex picked.  Ties go to the most colored
-neighbors, then the highest degree, then the lowest id; an empty domain
-backtracks without spending a node.  Only a vertex within distance 2 of a
+neighbors, then the highest degree, then the lowest id, a key built only
+on a tie of domain sizes; an empty domain backtracks without spending a
+node.  Only a vertex within distance 2 of a
 colored vertex can have a smaller domain than the whole palette (the tau_o
 bans reach across an uncolored neighbor), so the candidates are those
 vertices, kept incrementally under assign and unassign; that frontier is
@@ -37,7 +47,9 @@ pigeonhole clash between branch vertices at once, whatever the vertex
 labels.
 
 Isolated vertices are left out of the search: no condition involves them,
-and each takes color 1, which is in every palette.
+and each takes color 1, which is in every palette.  Under symmetry
+breaking no color above the number of searched vertices is ever tried, so
+the tables hold only that many colors, whatever k.
 
 Results are three-valued: a witness coloring, None for a completed refutation,
 or INCONCLUSIVE when the node limit was hit before the search finished.
@@ -94,17 +106,17 @@ class SearchConfig:
             raise ValueError("node_limit must be >= 1")
 
 
-def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusive:
+def _search(g: Graph, k: int, cfg: SearchConfig) -> dict[int, int] | None | Inconclusive:
     """Search g, which has no isolated vertex, for an odd k-coloring, one
     component after another, on one tracker and one node budget."""
     tracker = OddTracker(g, k)
     colored = tracker.color
     # the tracker's tables, read directly at every candidate of every pick
-    counts, odd, only_bit = tracker._counts, tracker._odd, tracker._only_bit
+    adj, counts, odd, only_bit = tracker._rows, tracker._counts, tracker._odd, tracker._only_bit
     distinct, uncolored = tracker._distinct, tracker._uncolored_nbrs
-    fc = cfg.forward_check
-    adj = {v: g.neighbors(v) for v in g.vertices()}
-    deg = {v: len(ns) for v, ns in adj.items()}
+    closed = {v: (v, *row) for v, row in adj.items()}
+    deg = {v: len(row) for v, row in adj.items()}
+    fc, sym = cfg.forward_check, cfg.symmetry_breaking
     nodes = 0
     limit = cfg.node_limit
     # near[v]: colored vertices within distance 2 of v, with multiplicity;
@@ -125,7 +137,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
         for u in adj[v]:
             if fc and not (uncolored[u] or odd[u]):
                 alive = False
-            for w in (u, *adj[u]):
+            for w in closed[u]:
                 near[w] += 1
                 if w not in colored:
                     frontier.add(w)
@@ -134,7 +146,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
     def unplace(v: int) -> None:
         tracker.unassign(v)
         for u in adj[v]:
-            for w in (u, *adj[u]):
+            for w in closed[u]:
                 near[w] -= 1
                 if not near[w]:
                     frontier.discard(w)
@@ -143,30 +155,41 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
 
     def pick(max_used: int) -> tuple[int, list[int]]:
         """The frontier vertex with the smallest domain (then most colored
-        neighbors, highest degree, lowest id) and its domain."""
-        top = min(k, max_used + 1) if cfg.symmetry_breaking else k
-        # out: the tau_o bans on v that no neighbor of v carries.  Every
-        # banned color is a used one, so all lie inside 1..top.
-        best = None
+        neighbors, highest degree, lowest id) and its domain, or the first
+        vertex found with an empty one: the branch is dead either way."""
+        top = min(k, max_used + 1) if sym else k
+        # out: the tau_o bans on v that no neighbor of v carries, one bit
+        # per color.  Every banned color is a used one, so all lie inside
+        # 1..top.  The tie-break key is built only on a tie.
+        best = best_key = None
+        best_size = top + 1
         for v in frontier:
             cv = counts[v]
-            out = ()
+            out = 0
             if fc:
                 for u in adj[v]:
-                    if uncolored[u] == 1 and (t := only_bit.get(odd[u])):
-                        if not cv[t] and t not in out:
-                            out = (*out, t)
-            key = (top - distinct[v] - len(out), uncolored[v] - deg[v], -deg[v], v)
-            if best is None or key < best:
-                best, best_out = key, out
-        v, cv = best[3], counts[best[3]]
-        return v, [c for c in range(1, top + 1) if not cv[c] and c not in best_out]
+                    if uncolored[u] == 1 and (t := only_bit.get(odd[u])) and not cv[t]:
+                        out |= odd[u]
+            size = top - distinct[v] - out.bit_count()
+            if size < best_size:
+                best, best_out, best_size, best_key = v, out, size, None
+                if not size:
+                    break
+            elif size == best_size:
+                key = (uncolored[v] - deg[v], -deg[v], v)
+                if best_key is None:
+                    best_key = (uncolored[best] - deg[best], -deg[best], best)
+                if key < best_key:
+                    best, best_out, best_key = v, out, key
+        cv = counts[best]
+        return best, [c for c in range(1, top + 1) if not cv[c] and not best_out >> c & 1]
 
     used = 0
-    for root in sorted(adj, key=lambda v: (-deg[v], v)):
+    # ties keep the ascending ids of adj: sorted is stable, also in reverse
+    for root in sorted(adj, key=deg.__getitem__, reverse=True):
         if root in colored:
             continue
-        top = min(k, used + 1) if cfg.symmetry_breaking else k
+        top = min(k, used + 1) if sym else k
         # frame: the branch vertex, the colors left to try on it, and the
         # largest color used before it; the stack holds this component only
         stack = [(root, iter(range(1, top + 1)), used)]
@@ -195,7 +218,7 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> Coloring | None | Inconclusi
                     used = now
                     break
             unplace(v)
-    return tracker.as_coloring()
+    return colored
 
 
 def exists_odd_k_coloring(
@@ -208,29 +231,59 @@ def exists_odd_k_coloring(
     # no condition involves an isolated vertex, and color 1 is in every palette
     isolated = [v for v in g.vertices() if not g.neighbors(v)]
     rest = g.subgraph(v for v in g.vertices() if g.neighbors(v)) if isolated else g
-    got = _search(rest, k, cfg)
-    if isinstance(got, Coloring):
-        if isolated:
-            got = Coloring(k, {**got.assign, **dict.fromkeys(isolated, 1)})
+    # under symmetry breaking a color above the count of colored vertices
+    # is never tried, so the tables need no more colors than rest has
+    got = _search(rest, min(k, rest.n) if cfg.symmetry_breaking else k, cfg)
+    if isinstance(got, dict):
+        got = Coloring(k, {**got, **dict.fromkeys(isolated, 1)})
         if not is_odd_coloring(g, got):
             raise EngineInvariantError("search returned a non-odd witness")
     return got
 
 
+def _lower_bound(g: Graph) -> int:
+    """A proven lower bound on chi_o(g), for g with a vertex.
+
+    Every odd coloring properly colors the conflict graph H: g plus an edge
+    between the two neighbors of each vertex of degree 2, which sees no odd
+    color when they share one.  So the size of any clique of H is a bound;
+    one clique is grown greedily, from the vertex of largest H-degree, by
+    the candidate of largest H-degree (ties to the lowest id).  A vertex of
+    even positive degree also needs 3 colors: with 2, its neighbors all
+    share one color, an even number of times."""
+    rows = {v: g.neighbors(v) for v in g.vertices()}
+    h = {v: set(row) for v, row in rows.items()}
+    for row in rows.values():
+        if len(row) == 2:
+            a, b = row
+            h[a].add(b)
+            h[b].add(a)
+    even = any(row and not len(row) % 2 for row in rows.values())
+    rank = {v: (-len(hv), v) for v, hv in h.items()}
+    size, candidates = 0, h.keys()
+    while candidates:
+        v = min(candidates, key=rank.__getitem__)
+        size, candidates = size + 1, h[v].intersection(candidates)
+    return max(size, 3 if even else 1)
+
+
 def min_odd_coloring(
     g: Graph, cfg: SearchConfig = SearchConfig()
 ) -> Coloring | Inconclusive:
-    """An odd coloring with the fewest colors, by ascending complete searches.
+    """An odd coloring with the fewest colors, by ascending complete searches
+    from ``_lower_bound(g)``: the conflict-clique bound, so no level below
+    it is searched.
 
     Its palette size is the odd chromatic number, which never exceeds |G|
     (coloring every vertex with its own color is odd); the empty graph gets
     the empty coloring with palette 1.  Returns INCONCLUSIVE if a level hits
-    the node limit, or if max_k was reached without a witness.
+    the node limit, or if max_k was reached without a witness, which
+    includes a bound above max_k (then nothing is searched).
     """
     if g.n == 0:
         return Coloring(1, {})
     top = min(cfg.max_k, g.n) if cfg.max_k is not None else g.n
-    for k in range(1, top + 1):
+    for k in range(_lower_bound(g), top + 1):
         got = exists_odd_k_coloring(g, k, cfg)
         if got is not None:
             return got

@@ -33,11 +33,20 @@ class Graph:
 
     def __init__(self, adj: Mapping[int, Iterable[int]]):
         """Check and store adj.  Keys become ints and each neighbor becomes
-        the key it equals.  Raises ValueError on a key that differs from its
-        int() (1.0 and True are 1; 1.5 and "1" are rejected), a neighbor
-        that is no key, a loop, a neighbor listed twice and a neighbor that
-        does not list the vertex back.  O(n log n + m)."""
-        key = {int(v): v for v in adj}
+        the key it equals.  Raises ValueError on a key that int() refuses
+        (None, "x") or that differs from its int() (1.0 and True are 1; 1.5
+        and "1" are rejected), naming the key, and on a neighbor that is no
+        key, a loop, a neighbor listed twice and a neighbor that does not
+        list the vertex back.  O(n log n + m)."""
+        try:
+            key = {int(v): v for v in adj}
+        except (TypeError, ValueError):
+            key = {}
+            for v in adj:  # up to the first key int() refuses, named below
+                try:
+                    key[int(v)] = v
+                except (TypeError, ValueError):
+                    break
         if key.keys() != adj.keys():  # a key is not its int(), so two keys may share an id
             raise ValueError(f"vertex {next(v for v in adj if v not in key)!r} is not an integer")
         # Rows filled in ascending id order come out sorted.  up is adj
@@ -75,7 +84,11 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u not in adj or v not in adj:
-                if int(u) != u or int(v) != v:
+                try:
+                    integral = int(u) == u and int(v) == v
+                except (TypeError, ValueError):  # None, "x"
+                    integral = False
+                if not integral:
                     raise ValueError(f"edge ({u}, {v}) has an endpoint that is not an integer")
                 raise NotAVertexError(f"edge ({u}, {v}) outside 0..{n - 1}")
             adj[u].add(v)

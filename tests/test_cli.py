@@ -122,7 +122,8 @@ class TestColorVerify:
 
         monkeypatch.setattr(exact, "exists_odd_k_coloring", counted)
         code, payload, _ = run(capsys, "color", "--engine", "exact", c4_file)
-        assert code == 0 and levels == list(range(1, best + 1))
+        # one ascending search, from the proven lower bound, not from 1
+        assert code == 0 and levels == list(range(exact._lower_bound(g), best + 1))
         assert payload["chi_o"] == payload["k"] == best
         assert payload["colors"] == {str(v): c for v, c in sorted(witness.assign.items())}
 

@@ -1,6 +1,8 @@
 """Verifier, tau_o, forbidden sets, greedy extension, incremental tracker."""
 
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,6 +19,7 @@ from oddcolor.coloring import (
     odd_colors,
     tau_o,
 )
+from oddcolor.exact import exists_odd_k_coloring
 from oddcolor.generators import random_outerplanar
 from oddcolor.graphs import Graph, cycle, path
 from oddcolor.minor_closed import odd_color_minor_closed
@@ -188,6 +191,27 @@ class TestGreedyExtend:
 
 
 class TestOddTracker:
+    @pytest.mark.parametrize(
+        "run, g",
+        [
+            (lambda g: odd_color_minor_closed(g, 50_000)[0], path(10)),
+            (lambda g: exists_odd_k_coloring(g, 200_000), cycle(50)),
+        ],
+        ids=["minor-closed-d50000", "exact-k200000"],
+    )
+    def test_palette_far_beyond_colors_used(self, run, g):
+        # the tables are sized by the colors a run uses, not by the palette
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            c = run(g)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 10 * 2**20, (seconds, peak)
+        assert c.k > 50_000 and is_odd_coloring(g, c)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_incremental_matches_recompute(self, seed):
         rng = random.Random(seed)

@@ -185,8 +185,10 @@ class TestConfig:
         assert levels[0] == levels[1]
         assert is_odd_coloring(g, w) and {w.assign[v] for v in range(3, 2000)} == {1}
 
-    def test_max_k_short_circuit(self):
+    def test_max_k_short_circuit(self, levels):
+        # the bound (5) is above max_k, so no level is searched
         assert chi_o(cycle(5), SearchConfig(max_k=3)) is INCONCLUSIVE
+        assert levels == []
 
     @pytest.mark.parametrize("field", ["max_k", "node_limit"])
     @pytest.mark.parametrize("value", [0, -5])
@@ -219,6 +221,36 @@ class TestExplicitStack:
         verdicts = [exists_odd_k_coloring(g, k) for k in range(1, 8)]
         assert levels == [1, 2, 4, 7, 11, 16, 28]
         assert verdicts[:6] == [None] * 6 and is_odd_coloring(g, verdicts[6])
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_never_above_chi_o(self, seed):
+        g = random_graph(2 + seed % 6, 0.15 + 0.1 * (seed % 7), seed=500 + seed)
+        assert exact._lower_bound(g) <= chi_o_naive(g)
+
+    @pytest.mark.parametrize(
+        "g,want",
+        [(cycle(4), 4), (cycle(5), 5), (cycle(7), 3), (star(23), 2)],
+        ids=["C4", "C5", "C7", "star(23)"],
+    )
+    def test_named_graphs(self, g, want):
+        # tight except on C7, whose chi_o is 4: every longer cycle gets 3
+        assert exact._lower_bound(g) == want
+
+    @pytest.mark.parametrize("p", range(3, 8))
+    def test_tight_on_subdivided_complete(self, p):
+        # the branch vertices form a clique of the conflict graph, whatever
+        # the labels
+        for seed in range(24):
+            assert exact._lower_bound(relabel(subdivided_complete(p), seed)) == p
+
+    def test_k7_star_takes_one_level(self, levels):
+        cfg = SearchConfig(node_limit=50_000)
+        for seed in range(24):
+            levels.clear()
+            assert chi_o(relabel(subdivided_complete(7), seed), cfg) == 7
+            assert len(levels) == 1
 
 
 def pendant_cycle(seed: int) -> Graph:
