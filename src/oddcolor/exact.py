@@ -35,9 +35,8 @@ those bans that no neighbor of v carries, kept as one bitmask (tau_o(u)
 is the color of the only set bit of u's odd-color mask, when it has just
 one, read off a table of the one-bit masks).
 Colors are listed only for the vertex picked.  Ties go to the most colored
-neighbors, then the highest degree, then the lowest id, a key built only
-on a tie of domain sizes; an empty domain backtracks without spending a
-node.  Only a vertex within distance 2 of a
+neighbors, then the highest degree, then the lowest id; an empty domain
+backtracks without spending a node.  Only a vertex within distance 2 of a
 colored vertex can have a smaller domain than the whole palette (the tau_o
 bans reach across an uncolored neighbor), so the candidates are those
 vertices, kept incrementally under assign and unassign; that frontier is
@@ -155,14 +154,12 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> dict[int, int] | None | Inco
 
     def pick(max_used: int) -> tuple[int, list[int]]:
         """The frontier vertex with the smallest domain (then most colored
-        neighbors, highest degree, lowest id) and its domain, or the first
-        vertex found with an empty one: the branch is dead either way."""
+        neighbors, highest degree, lowest id) and its domain."""
         top = min(k, max_used + 1) if sym else k
         # out: the tau_o bans on v that no neighbor of v carries, one bit
         # per color.  Every banned color is a used one, so all lie inside
-        # 1..top.  The tie-break key is built only on a tie.
-        best = best_key = None
-        best_size = top + 1
+        # 1..top.
+        best = None
         for v in frontier:
             cv = counts[v]
             out = 0
@@ -170,17 +167,9 @@ def _search(g: Graph, k: int, cfg: SearchConfig) -> dict[int, int] | None | Inco
                 for u in adj[v]:
                     if uncolored[u] == 1 and (t := only_bit.get(odd[u])) and not cv[t]:
                         out |= odd[u]
-            size = top - distinct[v] - out.bit_count()
-            if size < best_size:
-                best, best_out, best_size, best_key = v, out, size, None
-                if not size:
-                    break
-            elif size == best_size:
-                key = (uncolored[v] - deg[v], -deg[v], v)
-                if best_key is None:
-                    best_key = (uncolored[best] - deg[best], -deg[best], best)
-                if key < best_key:
-                    best, best_out, best_key = v, out, key
+            key = (top - distinct[v] - out.bit_count(), uncolored[v] - deg[v], -deg[v], v)
+            if best is None or key < best_key:
+                best, best_out, best_key = v, out, key
         cv = counts[best]
         return best, [c for c in range(1, top + 1) if not cv[c] and not best_out >> c & 1]
 

@@ -34,18 +34,18 @@ class Graph:
     def __init__(self, adj: Mapping[int, Iterable[int]]):
         """Check and store adj.  Keys become ints and each neighbor becomes
         the key it equals.  Raises ValueError on a key that int() refuses
-        (None, "x") or that differs from its int() (1.0 and True are 1; 1.5
-        and "1" are rejected), naming the key, and on a neighbor that is no
-        key, a loop, a neighbor listed twice and a neighbor that does not
-        list the vertex back.  O(n log n + m)."""
+        (None, "x", inf) or that differs from its int() (1.0 and True are
+        1; 1.5 and "1" are rejected), naming the key, and on a neighbor
+        that is no key, a loop, a neighbor listed twice and a neighbor that
+        does not list the vertex back.  O(n log n + m)."""
         try:
             key = {int(v): v for v in adj}
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             key = {}
             for v in adj:  # up to the first key int() refuses, named below
                 try:
                     key[int(v)] = v
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     break
         if key.keys() != adj.keys():  # a key is not its int(), so two keys may share an id
             raise ValueError(f"vertex {next(v for v in adj if v not in key)!r} is not an integer")
@@ -86,7 +86,7 @@ class Graph:
             if u not in adj or v not in adj:
                 try:
                     integral = int(u) == u and int(v) == v
-                except (TypeError, ValueError):  # None, "x"
+                except (TypeError, ValueError, OverflowError):  # None, "x", inf
                     integral = False
                 if not integral:
                     raise ValueError(f"edge ({u}, {v}) has an endpoint that is not an integer")

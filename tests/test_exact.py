@@ -277,12 +277,17 @@ def chorded_cycle(seed: int) -> Graph:
 class TestBranching:
     @pytest.mark.parametrize("p", [6, 7])
     def test_label_invariance(self, levels, p):
-        # every reference relabeling is decided, in the same nodes per level
+        # every level 1..p of every reference relabeling is decided, in the
+        # same nodes per level: the refutations below the lower bound too,
+        # which chi_o itself no longer searches
         cfg = SearchConfig(node_limit=50_000)
         per_relabeling = set()
         for seed in range(24):
+            g = relabel(subdivided_complete(p), seed)
             levels.clear()
-            assert chi_o(relabel(subdivided_complete(p), seed), cfg) == p
+            found = [exists_odd_k_coloring(g, k, cfg) for k in range(1, p + 1)]
+            assert found[:-1] == [None] * (p - 1)
+            assert isinstance(found[-1], Coloring)
             per_relabeling.add(tuple(levels))
         assert len(per_relabeling) == 1
 

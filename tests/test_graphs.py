@@ -78,8 +78,10 @@ class TestBasics:
             pytest.param(lambda: Graph({0: [], None: []}), "vertex None is not an integer", id="none-key"),
             pytest.param(lambda: Graph({0: [], (1,): []}), r"vertex \(1,\) is not an integer", id="tuple-key"),
             pytest.param(lambda: Graph({0: [], "x": []}), "vertex 'x' is not an integer", id="string-key"),
+            pytest.param(lambda: Graph({0: [], float("inf"): []}), "vertex inf is not an integer", id="inf-key"),
             pytest.param(lambda: Graph.from_edges(3, [(0, 1.5)]), r"edge \(0, 1.5\) has an endpoint that is not an integer", id="fractional-endpoint"),
             pytest.param(lambda: Graph.from_edges(3, [(None, 1)]), r"edge \(None, 1\) has an endpoint that is not an integer", id="none-endpoint"),
+            pytest.param(lambda: Graph.from_edges(3, [(0, float("inf"))]), r"edge \(0, inf\) has an endpoint that is not an integer", id="inf-endpoint"),
         ],
     )
     def test_non_integer_ids_rejected(self, build, message):
