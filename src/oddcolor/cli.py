@@ -1,12 +1,12 @@
 """Command-line front door.
 
 Machine-readable JSON goes to stdout, human summaries to stderr.  Exit
-codes: 0 success, 1 negative verification or infeasible, 2 usage error,
-3 internal failure (an engine invariant broke or the tool rejected its
-own output).  Every command that reads an embedding file except
-``validate`` and ``dot`` exits 2 on a drawing that ``validate`` rejects;
-``dot`` draws any planarization, valid or not, since it is a debugging
-view.
+codes: 0 success, 1 negative verification or infeasible, 2 usage error
+(a path that cannot be read or written included), 3 internal failure (an
+engine invariant broke or the tool rejected its own output).  Every
+command that reads an embedding file except ``validate`` and ``dot`` exits
+2 on a drawing that ``validate`` rejects; ``dot`` draws any planarization,
+valid or not, since it is a debugging view.
 
     oddcolor gen --name cycle --n 5 --out c5.graph.json
     oddcolor gen --name random_one_plane --n 30 --p-cross 0.5 --seed 7 --out r.empl.json
@@ -297,13 +297,11 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"gen --name {args.name} requires --{p}")
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except NotDegenerateError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         _say(f"not {exc.d}-degenerate: {exc}")
         return EXIT_NEGATIVE
-    except (formats.ParseError, FileNotFoundError, ValueError) as exc:
+    except (formats.ParseError, OSError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE
     except (EngineInvariantError, NoConfigFoundError, RecursionError) as exc:

@@ -48,9 +48,6 @@ class Coloring:
         new[v] = color
         return Coloring(self.k, new)
 
-    def is_total_on(self, g: Graph) -> bool:
-        return all(v in self.assign for v in g.vertices())
-
     def colors_used(self) -> set[int]:
         return set(self.assign.values())
 
@@ -84,10 +81,11 @@ def tau_o(g: Graph, c: Coloring, v: int) -> int | None:
 def is_odd_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c is a proper coloring of g and every non-isolated vertex
     has a color of odd multiplicity on its neighborhood.  c must be total."""
-    if not c.is_total_on(g):
-        raise PartialColoringError("coloring is not total")
     color = c.assign
-    for v in g.vertices():
+    vs = g.vertices()
+    if not all(v in color for v in vs):
+        raise PartialColoringError("coloring is not total")
+    for v in vs:
         own = color[v]
         odd: set[int] = set()
         for u in g.neighbors(v):

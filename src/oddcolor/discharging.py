@@ -199,7 +199,7 @@ def _two_vertex_tags(
     emb: OnePlaneGraph, g: Graph, face_of: dict[int, Face], v: int, big: int
 ) -> tuple[list[str], dict]:
     tags = []
-    nbrs = sorted(g.neighbors(v))
+    nbrs = list(g.neighbors(v))
     small_nbrs = [u for u in nbrs if g.degree(u) < big]
     if small_nbrs:
         tags.append("adjacent-small-vertices")

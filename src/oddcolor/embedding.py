@@ -6,8 +6,8 @@ structure is a rotation system over real + virtual vertices.  Each edge of
 the planarization ("segment") is a pair of darts; dart d's twin is d ^ 1.
 A OnePlaneGraph is constructed from dart rotations laid out as in the
 embedding file (segment i is darts 2i and 2i+1), and its constructor is
-the only place that checks that layout; the builder, the component split,
-the relabeling and the file reader all hand it darts.
+the only place that checks that layout; the builder, the component split
+and the file reader all hand it darts.
 At a virtual vertex the rotation alternates between the two crossing edges,
 so rotation positions (0, 2) belong to one original edge and (1, 3) to the
 other.
@@ -158,25 +158,11 @@ class OnePlaneGraph:
     def degree(self, v: int) -> int:
         return len(self._rot[v])
 
-    def darts(self) -> list[int]:
-        return list(range(2 * len(self._edges)))
-
     def origin(self, d: int) -> int:
         return self._edges[d >> 1][d & 1]
 
-    @staticmethod
-    def twin(d: int) -> int:
-        return d ^ 1
-
     def target(self, d: int) -> int:
         return self._edges[d >> 1][(d & 1) ^ 1]
-
-    def rot_next(self, d: int) -> int:
-        r = self._rot[self._edges[d >> 1][d & 1]]
-        return r[(r.index(d) + 1) % len(r)]
-
-    def face_next(self, d: int) -> int:
-        return self.rot_next(d ^ 1)
 
     def crossing_count(self) -> int:
         return sum(1 for k in self._kind.values() if k == VIRTUAL)
@@ -202,7 +188,7 @@ class OnePlaneGraph:
         face is first reached at its minimal dart, so none needs sorting."""
         if self._faces is not None:
             return self._faces
-        nxt = [0] * (2 * len(self._edges))  # face_next as a table
+        nxt = [0] * (2 * len(self._edges))  # each dart's successor on its face
         for r in self._rot.values():
             for i, d in enumerate(r):
                 nxt[r[i - 1] ^ 1] = d  # d follows r[i - 1] at this vertex
@@ -550,14 +536,6 @@ def split_components(emb: OnePlaneGraph) -> list[OnePlaneGraph]:
         rot = {v: [new[d] for d in emb.rotation(v)] for v in comp}
         out.append(OnePlaneGraph({v: emb.kind(v) for v in comp}, rot))
     return out
-
-
-def relabel_embedding(emb: OnePlaneGraph, mapping: dict[int, int]) -> OnePlaneGraph:
-    """Rename vertices by a bijection; structure is otherwise unchanged."""
-    if sorted(mapping) != emb.vertices() or len(set(mapping.values())) != len(mapping):
-        raise ValueError("mapping must be a bijection on the vertex set")
-    kinds = {mapping[v]: emb.kind(v) for v in emb.vertices()}
-    return OnePlaneGraph(kinds, {mapping[v]: emb.rotation(v) for v in emb.vertices()})
 
 
 def insert_crossing(emb: OnePlaneGraph, d_ab: int, d_cd: int) -> OnePlaneGraph:

@@ -24,9 +24,10 @@ class NotAnEdgeError(ValueError):
 class Graph:
     """Immutable simple undirected graph.
 
-    Each vertex's neighbors are one sorted tuple of ints, so graphs with
-    the same edges have equal rows whatever order their rows came in.  No
-    loops, no parallel edges; adjacency is symmetric by construction.
+    Each vertex's neighbors are one sorted tuple of ints, and the rows are
+    kept in ascending id order, so graphs with the same edges have equal
+    rows whatever order their rows came in.  No loops, no parallel edges;
+    adjacency is symmetric by construction.
     """
 
     __slots__ = ("_adj",)
@@ -104,7 +105,7 @@ class Graph:
         return len(self._adj)
 
     def vertices(self) -> list[int]:
-        return sorted(self._adj)
+        return list(self._adj)
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
@@ -126,7 +127,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with u < v, sorted."""
-        return sorted((u, v) for u in self._adj for v in self._adj[u] if u < v)
+        return [(u, v) for u, row in self._adj.items() for v in row if u < v]
 
     def num_edges(self) -> int:
         return sum(len(ns) for ns in self._adj.values()) // 2
@@ -148,14 +149,6 @@ class Graph:
         """Induced subgraph on ``keep``; original ids kept."""
         kept = set(keep)
         return Graph({v: kept.intersection(self.neighbors(v)) for v in kept})
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise NotAnEdgeError((u, v))
-        adj = {w: set(ns) for w, ns in self._adj.items()}
-        adj[u].discard(v)
-        adj[v].discard(u)
-        return Graph(adj)
 
     def contract(self, x: int, y: int) -> tuple["Graph", int]:
         """Contract edge xy; x is merged into y. Returns (graph, merged id).

@@ -65,7 +65,7 @@ from .embedding import (
     split_components,
     underlying_graph,
 )
-from .graphs import Graph, bridges, connected_components
+from .graphs import Graph, bridges
 
 log = logging.getLogger("oddcolor.reduction")
 
@@ -433,7 +433,7 @@ def _reduce(
     vertices in tracker, and return the log of shrinking steps in the order
     they ran.  The pending stack is last-in-first-out, so the trace is
     depth-first."""
-    log = []
+    records = []
     pending = [emb]
     while pending:
         emb = pending.pop()
@@ -456,11 +456,11 @@ def _reduce(
             emb = uncross_six_four(emb, cfg)
         else:
             emb, row, aux = _shrink(emb, g, cfg)
-            log.append((cfg, row, aux))
+            records.append((cfg, row, aux))
         after = (len(emb.real_vertices()), emb.crossing_count())
         trace.record(type(cfg).__name__, astuple(cfg), before, [after])
         pending.append(emb)
-    return log
+    return records
 
 
 def _shrink(
@@ -471,12 +471,15 @@ def _shrink(
     (less those it colors later), plus what the extension needs beyond
     them.  Only Bridge keeps g, with x's side as aux."""
     if isinstance(cfg, Bridge):
-        side_x = next(
-            side
-            for side in connected_components(g.delete_edge(cfg.x, cfg.y))
-            if cfg.x in side
-        )
-        return delete_g_edge(emb, cfg.x, cfg.y), g, side_x
+        x, y = cfg.x, cfg.y
+        side_x, stack = {x}, [x]  # x's side: g's rows walked from x, never along x->y
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if u not in side_x and (v, u) != (x, y):
+                    side_x.add(u)
+                    stack.append(u)
+        return delete_g_edge(emb, x, y), g, side_x
     if isinstance(cfg, OddLowVertex):
         return delete_real_vertices(emb, [cfg.v]), g.neighbors(cfg.v), None
     if isinstance(cfg, SmallPair):

@@ -48,6 +48,12 @@ def assert_tables_recount(tracker, g: Graph, vertices=None) -> None:
             assert not tracker._counts, v
 
 
+def relabel_embedding(emb: OnePlaneGraph, mapping: dict[int, int]) -> OnePlaneGraph:
+    """emb with its vertex ids renamed by the bijection mapping."""
+    vs = emb.vertices()
+    return OnePlaneGraph({mapping[v]: emb.kind(v) for v in vs}, {mapping[v]: emb.rotation(v) for v in vs})
+
+
 def embedding_cases() -> list:
     """Drawings for the file writer and the face walk, as pytest params: no
     vertex, an empty rotation, crossing-free and crossed random instances,

@@ -7,9 +7,10 @@ import itertools
 import random
 import time
 
+from conftest import relabel_embedding
 from oddcolor.coloring import Coloring, is_odd_coloring
 from oddcolor.discharging import apply_rules, initial_charges
-from oddcolor.embedding import relabel_embedding, underlying_graph, validate
+from oddcolor.embedding import underlying_graph, validate
 from oddcolor.exact import SearchConfig, chi_o, exists_odd_k_coloring
 from oddcolor.generators import (
     figure4_pattern,

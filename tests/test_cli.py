@@ -352,3 +352,21 @@ class TestOtherCommands:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["chi", "/nonexistent/file.graph.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["validate", "{dir}"], id="validate"),
+            pytest.param(["gen", "--name", "cycle", "--n", "5", "--out", "{dir}"], id="gen-out"),
+            pytest.param(["color", "--engine", "exact", "--out", "{dir}", "{emb}"], id="color-out"),
+            pytest.param(
+                ["color", "--engine", "reduction", "--trace-out", "{dir}", "{emb}"], id="color-trace-out"
+            ),
+            pytest.param(["dot", "--out", "{dir}", "{emb}"], id="dot-out"),
+        ],
+    )
+    def test_unusable_path_is_usage_error(self, emb_file, tmp_path, capsys, argv):
+        # a directory where a file is read or written raises an OSError
+        # other than FileNotFoundError: one error line and exit 2
+        code, _, err = run(capsys, *(a.format(dir=tmp_path, emb=emb_file) for a in argv))
+        assert code == 2 and err.splitlines()[-1].startswith("error: [Errno")

@@ -61,6 +61,13 @@ class TestIsOddColoring:
         with pytest.raises(PartialColoringError):
             is_odd_coloring(path(2), Coloring(2, {0: 1}))
 
+    def test_one_vertex_list(self, monkeypatch):
+        # the totality check and the walk share one sorted vertex list
+        g, calls, vertices = cycle(5), [], Graph.vertices
+        monkeypatch.setattr(Graph, "vertices", lambda h: calls.append(h) or vertices(h))
+        assert is_odd_coloring(g, Coloring(5, {i: i + 1 for i in range(5)}))
+        assert calls == [g]
+
     def test_isolated_vertices_exempt(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert is_odd_coloring(g, Coloring(2, {0: 1, 1: 2, 2: 1}))

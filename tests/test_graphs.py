@@ -38,7 +38,10 @@ def brute_bridges(g: Graph) -> list[tuple[int, int]]:
     out = []
     base = len(connected_components(g))
     for u, v in g.edges():
-        if len(connected_components(g.delete_edge(u, v))) > base:
+        cut = {w: set(g.neighbors(w)) for w in g.vertices()}  # g - uv
+        cut[u].remove(v)
+        cut[v].remove(u)
+        if len(connected_components(Graph(cut))) > base:
             out.append((u, v))
     return out
 
@@ -115,7 +118,6 @@ class TestBasics:
         [
             pytest.param(lambda g: g.subgraph(range(18, 0, -1)), id="subgraph"),
             pytest.param(lambda g: g.contract(*g.edges()[-1])[0], id="contract"),
-            pytest.param(lambda g: g.delete_edge(*g.edges()[0]), id="delete_edge"),
         ],
     )
     def test_derived_rows_sorted(self, derive):

@@ -8,13 +8,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import assert_tables_recount
+from conftest import assert_tables_recount, relabel_embedding
 from oddcolor import embedding, reduction
 from oddcolor.coloring import is_odd_coloring
 from oddcolor.discharging import discharge
-from oddcolor.embedding import OnePlaneGraph, relabel_embedding, underlying_graph, validate
+from oddcolor.embedding import OnePlaneGraph, underlying_graph, validate
 from oddcolor.exact import chi_o
-from oddcolor.graphs import bridges
+from oddcolor.graphs import Graph, bridges
 from oddcolor.generators import (
     cycle_embedding,
     figure4_pattern,
@@ -558,6 +558,22 @@ def test_tables_match_recount_at_every_record(monkeypatch, force_bridge):
         odd_color_1planar(emb, t)
         assert graphs == []
     assert force_bridge == any(isinstance(cfg, Bridge) for cfg in picks)
+
+
+def test_bridge_side_walks_g(monkeypatch):
+    # Bridge's side split walks g's rows from x without the edge xy; it
+    # builds no Graph
+    emb = path_embedding(6)
+    g, built, init = underlying_graph(emb), [], Graph.__init__
+
+    def counting(self, adj):
+        built.append(adj)
+        init(self, adj)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    smaller, row, side = reduction._shrink(emb, g, Bridge(2, 3))
+    assert built == [] and row is g and sorted(side) == [0, 1, 2]
+    assert underlying_graph(smaller).edges() == [(0, 1), (1, 2), (3, 4), (4, 5)]
 
 
 def _count_walks(monkeypatch) -> Counter:
